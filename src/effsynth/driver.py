@@ -101,6 +101,7 @@ class RunReport:
             "paths": self.paths,
             "tuple_count": self.tuple_count,
             "merge_orderings_tried": self.merge_orderings_tried,
+            "failed_stage": self.failed_stage,
         }
 
 
@@ -146,7 +147,8 @@ def synthesize(goal: Goal, ct: ClassTable, world: World,
         if not reused:
             stats = SearchStats()
             result = generate(goal.param_types, goal.ret, ct, goal.constants,
-                              spec, world, cfg, stats, deadline=deadline)
+                              spec, world, cfg, stats, deadline=deadline,
+                              start=session.start(spec))
             session.absorb(stats)
             if not result.found:
                 per_spec.append(PerSpecReport(

@@ -1,5 +1,11 @@
 """Operational semantics: call-by-value evaluation and spec execution.
 
+A spec runs from its start: the world state, setup bindings and argument
+values just before the goal call. spec_start builds it by running the setup
+from an empty world once; every run_spec given that start restores its
+world checkpoint, so a synthesis call replays each spec's setup once and
+hands the same start to every candidate it evaluates on that spec.
+
 Spec execution counts passed assertions and, on an assertion failure, reports
 the read/write effect pair accumulated from method calls made while
 evaluating that assertion. The accumulator resets after every passed
@@ -19,7 +25,7 @@ from .core import (
     resolve_self_pair,
 )
 from .runtime import (
-    ClassV, FALSE_V, NIL_V, NilV, IntV, ObjV, RecordV, RuntimeError_,
+    Checkpoint, ClassV, FALSE_V, NIL_V, NilV, IntV, ObjV, RecordV, RuntimeError_,
     RuntimeValue, StrV, SymV, TRUE_V, World, invoke_native, runtime_class_of,
     truthy,
 )
@@ -183,31 +189,68 @@ def eval_expr(env: dict[str, RuntimeValue], world: World, ct: ClassTable,
 # Spec execution
 # ---------------------------------------------------------------------------
 
-def run_spec(body: Expr, goal_arity: int, spec: Spec, world: World,
-             ct: ClassTable) -> SpecResult:
-    """Reset the world, run setup, call the candidate, then check assertions.
+@dataclass(frozen=True)
+class SpecStart:
+    """A spec's state at the goal call: the world checkpoint, the setup's
+    bindings and the argument values. When setup or argument evaluation
+    raised, `error` holds the exception, `error_stage` says which ("setup"
+    or "args"), and there is no checkpoint."""
 
-    Per assertion: method calls made while it evaluates accumulate their
-    resolved effect pairs; a truthy value bumps the pass counter and clears
-    the accumulator, a falsy value stops with the accumulated pair.
-    """
-    assert is_complete(body)
+    checkpoint: Optional[Checkpoint]
+    env: dict[str, RuntimeValue]
+    args: tuple[RuntimeValue, ...]
+    error: Optional[RuntimeError_] = None
+    error_stage: Optional[str] = None
+
+    def param_env(self) -> dict[str, RuntimeValue]:
+        return {f"arg{i}": v for i, v in enumerate(self.args)}
+
+
+def spec_start(spec: Spec, goal_arity: int, world: World,
+               ct: ClassTable) -> SpecStart:
+    """Reset the world, run the spec's setup and evaluate the goal-call
+    arguments. An arity mismatch is reported before any argument runs."""
     world.reset()
     ev = Evaluator(world, ct)
     env: dict[str, RuntimeValue] = {}
+    stage = "setup"
     try:
         for stmt in spec.setup:
             v = ev.eval(env, stmt.expr)
             if stmt.var is not None:
                 env[stmt.var] = v
+        stage = "args"
         if len(spec.call_args) != goal_arity:
             raise RuntimeError_("arity", f"goal expects {goal_arity} arguments")
-        arg_vals = tuple(ev.eval(env, a) for a in spec.call_args)
-        body_env = {f"arg{i}": v for i, v in enumerate(arg_vals)}
-        result = ev.eval(body_env, body)
-        env[RESULT_VAR] = result
+        args = tuple(ev.eval(env, a) for a in spec.call_args)
+    except RuntimeError_ as exc:
+        return SpecStart(None, env, (), exc, stage)
+    return SpecStart(world.checkpoint(), env, args)
+
+
+def run_spec(body: Expr, goal_arity: int, spec: Spec, world: World,
+             ct: ClassTable, start: Optional[SpecStart] = None) -> SpecResult:
+    """Restore the spec's start, call the candidate, then check assertions.
+
+    `start` must come from spec_start on the same spec, arity and class
+    table; without one, run_spec builds it.
+    Per assertion: method calls made while it evaluates accumulate their
+    resolved effect pairs; a truthy value bumps the pass counter and clears
+    the accumulator, a falsy value stops with the accumulated pair.
+    """
+    assert is_complete(body)
+    if start is None:
+        start = spec_start(spec, goal_arity, world, ct)
+    if start.error is not None:
+        return SpecResult(0, RuntimeErr(start.error.kind, start.error.detail))
+    world.restore(start.checkpoint)
+    ev = Evaluator(world, ct)
+    try:
+        result = ev.eval(start.param_env(), body)
     except RuntimeError_ as exc:
         return SpecResult(0, RuntimeErr(exc.kind, exc.detail))
+    env = dict(start.env)
+    env[RESULT_VAR] = result
 
     passed = 0
     for a in spec.post:

@@ -22,7 +22,9 @@ from .core import (
     PURE_PAIR, TRUE, TRUE_COND, TrueLit, TypeExpr, alpha_key, expr_size,
     ClassTable,
 )
-from .interp import AssertErr, Evaluator, Ok, Spec, SpecResult, run_spec
+from .interp import (
+    AssertErr, Evaluator, Ok, Spec, SpecResult, SpecStart, run_spec, spec_start,
+)
 from .runtime import RuntimeError_, TRUE_V, World
 from .sat import FNot, FOr, FVar, Formula, implies_valid
 from .search import SearchConfig, SearchStats, search
@@ -156,6 +158,20 @@ class MergeSession:
     stats: SearchStats = field(default_factory=SearchStats)
     orderings_tried: int = 0
     deadline: Optional[float] = None
+    # id(spec) -> (spec, its start); keyed by identity because hashing a
+    # Spec walks its whole setup.
+    starts: dict = field(default_factory=dict, init=False, repr=False)
+
+    def expired(self) -> bool:
+        return self.deadline is not None and time.monotonic() > self.deadline
+
+    def start(self, spec: Spec) -> SpecStart:
+        """The spec's start, built on first use and kept for the session."""
+        entry = self.starts.get(id(spec))
+        if entry is None or entry[0] is not spec:
+            entry = (spec, spec_start(spec, len(self.goal_params), self.world, self.ct))
+            self.starts[id(spec)] = entry
+        return entry[1]
 
     def param_env(self) -> TypeEnv:
         return {f"arg{i}": t for i, t in enumerate(self.goal_params)}
@@ -172,7 +188,8 @@ class MergeSession:
 
     def run_body(self, body: Expr, spec: Spec) -> SpecResult:
         self.count_eval()
-        return run_spec(body, len(self.goal_params), spec, self.world, self.ct)
+        return run_spec(body, len(self.goal_params), spec, self.world, self.ct,
+                        self.start(spec))
 
 
 def make_merge_tuple(session: MergeSession, expr: Expr, cond: Cond,
@@ -185,18 +202,14 @@ def make_merge_tuple(session: MergeSession, expr: Expr, cond: Cond,
 
 
 def _cond_holds(session: MergeSession, c: Cond, spec: Spec, want: bool) -> bool:
-    """Evaluate a condition under a spec's setup in the goal's argument scope."""
-    session.world.reset()
-    ev = Evaluator(session.world, session.ct)
-    env: dict = {}
+    """Evaluate a condition at a spec's start in the goal's argument scope;
+    a runtime error, also in the spec's setup or arguments, is a miss."""
+    start = session.start(spec)
+    if start.error is not None:
+        return False
+    session.world.restore(start.checkpoint)
     try:
-        for stmt in spec.setup:
-            v = ev.eval(env, stmt.expr)
-            if stmt.var is not None:
-                env[stmt.var] = v
-        arg_vals = [ev.eval(env, a) for a in spec.call_args]
-        param_env = {f"arg{i}": v for i, v in enumerate(arg_vals)}
-        return ev.eval_cond(param_env, c) == want
+        return Evaluator(session.world, session.ct).eval_cond(start.param_env(), c) == want
     except RuntimeError_:
         return False
 
@@ -226,6 +239,8 @@ def synth_condition(session: MergeSession, true_ids: frozenset[int],
     memo_key = (tuple(sorted(true_ids)), tuple(sorted(false_ids)))
     if memo_key in session.cond_memo:
         return session.cond_memo[memo_key]
+    if session.expired():
+        return None
     checks = [(session.specs[i], True) for i in sorted(true_ids)]
     checks += [(session.specs[j], False) for j in sorted(false_ids)]
 
@@ -241,6 +256,8 @@ def synth_condition(session: MergeSession, true_ids: frozenset[int],
         if _battery(session, cand, checks).ok:
             session.cond_memo[memo_key] = cand
             return cand
+    if session.expired():
+        return None
 
     rules = RuleConfig(
         types_on=session.cfg.mode in ("full", "types_only"),
@@ -270,11 +287,12 @@ def synth_condition(session: MergeSession, true_ids: frozenset[int],
 def rewrite_merge(term: MergeTerm, session: MergeSession) -> MergeTerm:
     """Apply the adjacent-pair rules to fixpoint. Condition resynthesis fires
     at most once per pair; if it cannot find separating conditions the pair
-    is left in its original chained form."""
+    is left in its original chained form. Past the session deadline the
+    chain is returned as far as it got."""
     tuples = list(term.tuples)
     tried_resynth: set = set()
     changed = True
-    while changed:
+    while changed and not session.expired():
         changed = False
         for i in range(len(tuples) - 1):
             step = _rewrite_pair(tuples[i], tuples[i + 1], session, tried_resynth)
@@ -358,7 +376,7 @@ def merge_program(tuples: list[MergeTuple], session: MergeSession) -> Optional[E
         orderings = [tuple(range(k, n)) + tuple(range(k)) for k in range(n)]
     best: Optional[tuple[int, Expr]] = None
     for order in orderings:
-        if session.deadline is not None and time.monotonic() > session.deadline:
+        if session.expired():
             break
         session.orderings_tried += 1
         term = rewrite_merge(MergeTerm(tuple(tuples[i] for i in order)), session)

@@ -111,13 +111,6 @@ def runtime_class_of(v: RuntimeValue) -> str:
     raise RuntimeError_("no-class", f"value {v!r} has no runtime class")
 
 
-def values_equal(a: RuntimeValue, b: RuntimeValue) -> bool:
-    """Structural equality for primitives and records, identity for objects."""
-    if isinstance(a, ObjV) and isinstance(b, ObjV):
-        return a.cls == b.cls and a.obj_id == b.obj_id
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # Schemas and the world
 # ---------------------------------------------------------------------------
@@ -153,6 +146,25 @@ def relation_class(cls: str) -> str:
     return f"Relation[{cls}]"
 
 
+Tables = dict[str, dict[int, dict[str, RuntimeValue]]]
+
+
+def _copy_tables(tables: Tables) -> Tables:
+    """Rows are the only mutable part of a table; values are immutable."""
+    return {cls: {i: dict(row) for i, row in tbl.items()} for cls, tbl in tables.items()}
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """A copy of a World's mutable state, taken by World.checkpoint."""
+
+    tables: Tables
+    relations: dict[int, tuple[str, tuple[int, ...]]]
+    globals: dict[str, RuntimeValue]
+    next_id: int
+    next_rel_id: int
+
+
 class World:
     """Single-owner mutable state: per-schema row tables plus globals.
 
@@ -162,7 +174,7 @@ class World:
 
     def __init__(self, schemas: dict[str, SchemaDecl]) -> None:
         self.schemas = dict(schemas)
-        self.tables: dict[str, dict[int, dict[str, RuntimeValue]]] = {}
+        self.tables: Tables = {}
         self.globals: dict[str, RuntimeValue] = {}
         self.relations: dict[int, tuple[str, tuple[int, ...]]] = {}
         self.next_id = 1
@@ -189,13 +201,21 @@ class World:
     def row_count(self, cls: str) -> int:
         return len(self.tables.get(cls, {}))
 
-    def snapshot(self) -> dict[str, dict[int, dict[str, RuntimeValue]]]:
-        return {cls: {i: dict(row) for i, row in tbl.items()} for cls, tbl in self.tables.items()}
+    def snapshot(self) -> Tables:
+        return _copy_tables(self.tables)
 
+    def checkpoint(self) -> Checkpoint:
+        return Checkpoint(self.snapshot(), dict(self.relations), dict(self.globals),
+                          self.next_id, self._next_rel_id)
 
-def reset(world: World) -> World:
-    world.reset()
-    return world
+    def restore(self, cp: Checkpoint) -> None:
+        """Put the world back into the state `cp` was taken in; the
+        checkpoint stays untouched, so it can be restored again."""
+        self.tables = _copy_tables(cp.tables)
+        self.relations = dict(cp.relations)
+        self.globals = dict(cp.globals)
+        self.next_id = cp.next_id
+        self._next_rel_id = cp.next_rel_id
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +300,7 @@ def _schema_for(world: World, recv: RuntimeValue) -> SchemaDecl:
 
 
 def _matches(row: dict[str, RuntimeValue], rec: RecordV) -> bool:
-    return all(k in row and values_equal(row[k], v) for k, v in rec.pairs)
+    return all(k in row and row[k] == v for k, v in rec.pairs)
 
 
 def _native_create(world, sig, recv, args):
@@ -324,7 +344,7 @@ def _native_first(world, sig, recv, args):
 def _native_eq(world, sig, recv, args):
     if len(args) != 1:
         raise RuntimeError_("arity", "== takes one argument")
-    return BoolV(values_equal(recv, args[0]))
+    return BoolV(recv == args[0])
 
 
 def _native_not(world, sig, recv, args):

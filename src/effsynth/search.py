@@ -21,7 +21,7 @@ from .core import (
     Var, alpha_key, children, expr_size, is_complete, leftmost_hole, rebuild,
 )
 from .effgen import expand_effect_hole, wrap_effect_hole
-from .interp import AssertErr, Spec, SpecResult, run_spec
+from .interp import AssertErr, Spec, SpecResult, SpecStart, run_spec, spec_start
 from .runtime import World
 from .typegen import RuleConfig, TypeEnv, expand_typed_hole, typecheck
 
@@ -258,12 +258,16 @@ def generate(
     cfg: SearchConfig,
     stats: Optional[SearchStats] = None,
     deadline: Optional[float] = None,
+    start: Optional[SpecStart] = None,
 ) -> GenerateResult:
-    """Search for a complete expression passing one spec."""
+    """Search for a complete expression passing one spec. Every candidate
+    runs from `start`, the spec's start; it is built here when not given."""
     env: TypeEnv = {f"arg{i}": t for i, t in enumerate(goal_params)}
+    if start is None:
+        start = spec_start(spec, len(goal_params), world, ct)
 
     def evaluate(body: Expr) -> SpecResult:
-        return run_spec(body, len(goal_params), spec, world, ct)
+        return run_spec(body, len(goal_params), spec, world, ct, start)
 
     return search(env, ret_ty, ct, sigma, cfg, evaluate, wrap=True, stats=stats,
                   deadline=deadline)

@@ -39,3 +39,16 @@ def random_hierarchy(rng: random.Random, n_classes: int = 5) -> ClassTable:
         parent = "Obj" if i == 0 else rng.choice(names[:i] + ["Obj"])
         ct.add_class(name, parent)
     return ct
+
+
+def lookup_goal_text(n: int) -> str:
+    """The flat lookup goal `lookup<n>`: (Str -> Int) mapping "k<i>" to i,
+    one spec per key. Merging its n tuples is the hard part."""
+    consts = " ".join(f"({i} Int)" for i in range(n))
+    consts += " " + " ".join(f'("k{i}" Str)' for i in range(n))
+    names = " ".join(str(i) for i in range(n)) + " " + " ".join(f'"k{i}"' for i in range(n))
+    specs = "\n".join(
+        f'  (spec "k{i}" (setup (call! "k{i}")) (post (assert (call x_r == {i}))))'
+        for i in range(n))
+    return (f"(constants {consts})\n"
+            f"(goal lookup{n}\n  (sig (Str -> Int))\n  (consts {names})\n{specs})\n")

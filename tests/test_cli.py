@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import lookup_goal_text
 from effsynth.cli import main
 
 
@@ -13,7 +14,7 @@ GOALS = Path("goals")
 REPORT_KEYS = sorted([
     "goal", "mode", "precision", "success", "candidates_expanded",
     "candidates_evaluated", "per_spec", "wall_ms", "program_size", "paths",
-    "tuple_count", "merge_orderings_tried",
+    "tuple_count", "merge_orderings_tried", "failed_stage",
 ])
 
 PER_SPEC_KEYS = sorted([
@@ -51,6 +52,17 @@ class TestSynth:
         assert data["success"] is False
         assert data["program_size"] is None and data["paths"] is None
         assert sorted(data) == REPORT_KEYS
+
+    def test_report_names_the_failed_stage(self, capsys, tmp_path):
+        goal = tmp_path / "lookup3.goal"
+        goal.write_text(lookup_goal_text(3), encoding="utf-8")
+        report = tmp_path / "r.json"
+        code, _, err = run(capsys, "synth", str(goal), "--report", str(report))
+        assert code == 1
+        assert "(merge," in err
+        data = json.loads(report.read_text())
+        assert data["success"] is False
+        assert data["failed_stage"] == "merge"
 
     def test_parse_error_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.goal"

@@ -1,11 +1,15 @@
 import itertools
+import time
 
 import pytest
 
-from effsynth.core import Call, DefinitionError
+from conftest import lookup_goal_text
+from effsynth import interp
+from effsynth.core import Call, ClassLit, DefinitionError, RecordLit, StrLit
 from effsynth.driver import Goal, count_paths, synthesize
-from effsynth.goalfile import load_goal_file
-from effsynth.interp import run_spec
+from effsynth.goalfile import build, load_goal_file, parse_goal_file, print_program
+from effsynth.interp import SetupStmt, Spec, run_spec
+from effsynth.runtime import World
 from effsynth.search import SearchConfig
 
 
@@ -90,6 +94,64 @@ class TestSynthesize:
             assert run_spec(program.body, goal.arity, spec, world, ct).ok
 
 
+class TestTimeout:
+    def test_merge_stops_at_the_deadline(self):
+        # rewriting lookup4's chains alternates two negation guesses forever;
+        # the deadline must end it
+        gf = parse_goal_file(lookup_goal_text(4))
+        ct, world = build(gf)
+        t0 = time.monotonic()
+        program, report = synthesize(gf.goal, ct, world, SearchConfig(timeout_s=2))
+        assert time.monotonic() - t0 < 2 + 3
+        assert program is None
+        assert report.failed_stage == "merge"
+
+
+def with_decoys(goal, rows):
+    """The goal with `rows` User rows appended to every spec's setup; no
+    query built from the goal's constants or arguments matches them."""
+    decoys = tuple(
+        SetupStmt(Call(ClassLit("User"), "create", (RecordLit((
+            ("name", StrLit(f"zq-decoy-{i}")), ("username", StrLit(f"zq-decoy-{i}")))),)))
+        for i in range(rows))
+    specs = tuple(Spec(s.title, s.setup + decoys, s.call_args, s.post) for s in goal.specs)
+    return Goal(goal.name, goal.param_types, goal.ret, goal.constants, specs)
+
+
+class TestSetupReplay:
+    def test_each_spec_setup_runs_once_per_call(self, monkeypatch):
+        gf, ct, world = load("update_post")
+        resets = []
+        real_reset = World.reset
+        monkeypatch.setattr(World, "reset", lambda self: (resets.append(1), real_reset(self)))
+        n = len(gf.goal.specs)
+        assert synthesize(gf.goal, ct, world, SearchConfig())[0] is not None
+        assert len(resets) == n
+        synthesize(gf.goal, ct, world, SearchConfig())
+        assert len(resets) == 2 * n  # nothing is kept across calls
+
+    def test_decoy_rows_are_created_once_per_spec(self, monkeypatch):
+        gf, ct, world = load("update_post")
+        creates = []
+        real_invoke = interp.invoke_native
+
+        def counting(world, sig, recv, args):
+            if sig.native == "minidb.create":
+                creates.append(1)
+            return real_invoke(world, sig, recv, args)
+
+        monkeypatch.setattr(interp, "invoke_native", counting)
+        rows = 50
+        outcomes = []
+        for goal in (gf.goal, with_decoys(gf.goal, rows)):
+            creates.clear()
+            program, report = synthesize(goal, ct, world, SearchConfig())
+            outcomes.append((print_program(program), report.candidates_evaluated,
+                             report.candidates_expanded, len(creates)))
+        (prog, evaluated, expanded, plain), decoyed = outcomes
+        assert decoyed == (prog, evaluated, expanded, plain + rows * len(gf.goal.specs))
+
+
 class TestCountPaths:
     def test_straight_line(self):
         from effsynth.core import Var
@@ -111,8 +173,9 @@ class TestCountPaths:
         assert sorted(d) == sorted([
             "goal", "mode", "precision", "success", "candidates_expanded",
             "candidates_evaluated", "per_spec", "wall_ms", "program_size",
-            "paths", "tuple_count", "merge_orderings_tried",
+            "paths", "tuple_count", "merge_orderings_tried", "failed_stage",
         ])
+        assert d["failed_stage"] is None
         assert sorted(d["per_spec"][0]) == sorted([
             "spec", "reused", "candidates_expanded", "candidates_evaluated",
             "wall_ms",

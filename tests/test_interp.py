@@ -5,9 +5,13 @@ from effsynth.core import (
     IntLit, Let, NilLit, PURE_PAIR, RecordLit, Region, Seq, StrLit, TrueLit,
     Var,
 )
+from pathlib import Path
+
+from effsynth.core import STR_T
+from effsynth.goalfile import load_goal_file
 from effsynth.interp import (
     AssertErr, Ok, RuntimeErr, Spec, SetupStmt, SpecResult, eval_expr,
-    run_spec,
+    run_spec, spec_start,
 )
 from effsynth.runtime import IntV, RuntimeError_, StrV
 
@@ -197,3 +201,85 @@ class TestReportedEffectsAreSelfFree:
         assert isinstance(res.outcome, AssertErr)
         assert not res.outcome.eff.read.has_self()
         assert not res.outcome.eff.write.has_self()
+
+
+def probe_bodies(gf):
+    """Bodies that raise, return an argument, write rows (an existing row's
+    column, a new row) or read what those writes would leave behind."""
+    bodies = [call(NilLit(), "boom")]
+    bodies += [Var(f"arg{i}") for i in range(gf.goal.arity)]
+    for schema in gf.schemas:
+        col = next((c for c, ty in schema.columns if ty == STR_T), None)
+        if col is None:
+            continue
+        cls = ClassLit(schema.cls)
+        first = call(call(cls, "where", RecordLit(())), "first")
+        mark = RecordLit(((col, StrLit("overwritten")),))
+        writes = [call(first, f"{col}=", StrLit("overwritten")), call(cls, "create", mark)]
+        reads = [call(cls, "exists?", mark), first, call(first, "id")]
+        bodies += writes + reads
+    return bodies
+
+
+class TestSpecStart:
+    @pytest.mark.parametrize("path", sorted(Path("goals").glob("*.goal")),
+                             ids=lambda p: p.stem)
+    def test_shared_start_matches_fresh_replay(self, path):
+        # every body, writing ones before reading ones, run twice on one
+        # start, must give the result and leave the world state that a
+        # replay from an empty world gives
+        gf, ct, world = load_goal_file(str(path))
+        bodies = probe_bodies(gf)
+
+        def outcomes(start=None):
+            return [(run_spec(b, gf.goal.arity, spec, world, ct, start), world.checkpoint())
+                    for b in bodies]
+
+        for spec in gf.goal.specs:
+            fresh = outcomes()
+            start = spec_start(spec, gf.goal.arity, world, ct)
+            assert start.error is None
+            assert outcomes(start) == fresh, spec.title
+            assert outcomes(start) == fresh, spec.title
+
+    def test_start_is_not_changed_by_runs(self, blog):
+        ct, world = blog
+        setup = [SetupStmt(call(ClassLit("Post"), "create",
+                                RecordLit((("title", StrLit("t")),))), "p")]
+        spec = mkspec(setup, [], [eq(call(Var("p"), "title"), StrLit("t"))])
+        start = spec_start(spec, 0, world, ct)
+        body = Let("q", call(ClassLit("Post"), "where", RecordLit(())),
+                   call(call(Var("q"), "first"), "title=", StrLit("changed")))
+        assert not run_spec(body, 0, spec, world, ct, start).ok
+        assert world.tables["Post"][1]["title"] == StrV("changed")
+        assert start.checkpoint.tables["Post"][1]["title"] == StrV("t")
+        assert run_spec(NilLit(), 0, spec, world, ct, start).ok
+
+    def test_setup_error(self, blog):
+        ct, world = blog
+        spec = mkspec([SetupStmt(call(NilLit(), "boom"))], [call(NilLit(), "bang")],
+                      [TrueLit()])
+        start = spec_start(spec, 1, world, ct)
+        assert (start.error.kind, start.error_stage) == ("nil-method-missing", "setup")
+        assert start.checkpoint is None
+        fresh = run_spec(NilLit(), 1, spec, world, ct)
+        assert fresh == run_spec(NilLit(), 1, spec, world, ct, start)
+        assert fresh == SpecResult(0, RuntimeErr("nil-method-missing", "boom"))
+
+    def test_arity_mismatch_comes_before_arguments(self, blog):
+        ct, world = blog
+        spec = mkspec([], [call(NilLit(), "bang")], [TrueLit()])
+        start = spec_start(spec, 2, world, ct)
+        assert (start.error.kind, start.error_stage) == ("arity", "args")
+        fresh = run_spec(NilLit(), 2, spec, world, ct)
+        assert fresh == run_spec(NilLit(), 2, spec, world, ct, start)
+        assert fresh.outcome.kind == "arity"
+
+    def test_argument_error(self, blog):
+        ct, world = blog
+        spec = mkspec([], [call(NilLit(), "bang")], [TrueLit()])
+        start = spec_start(spec, 1, world, ct)
+        assert (start.error.kind, start.error_stage) == ("nil-method-missing", "args")
+        fresh = run_spec(NilLit(), 1, spec, world, ct)
+        assert fresh == run_spec(NilLit(), 1, spec, world, ct, start)
+        assert fresh == SpecResult(0, RuntimeErr("nil-method-missing", "bang"))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -10,9 +11,9 @@ from effsynth.core import (
 )
 from effsynth.interp import SetupStmt, Spec
 from effsynth.merge import (
-    MergeSession, MergeTerm, MergeTuple, canon_cond, canon_not, cond_as_expr,
-    cond_eq, implies, is_tautology, make_merge_tuple, merge_program,
-    rewrite_merge, synth_condition,
+    MergeSession, MergeTerm, MergeTuple, _cond_holds, canon_cond, canon_not,
+    cond_as_expr, cond_eq, implies, is_tautology, make_merge_tuple,
+    merge_program, rewrite_merge, synth_condition,
 )
 from effsynth.search import SearchConfig
 
@@ -354,3 +355,31 @@ class TestThreeWayFold:
         body = merge_program(tuples, session)
         assert body == Var("arg0")
         assert not any(isinstance(n, If) for n in walk(body))
+
+
+class TestCondHolds:
+    def test_setup_and_argument_errors_are_misses(self, session):
+        boom = call(NilLit(), "boom")
+        bad_setup = mkspec("bad-setup", [SetupStmt(boom)], [StrLit("x")], [TrueLit()])
+        bad_arg = mkspec("bad-arg", [], [boom], [TrueLit()])
+        for spec in (bad_setup, bad_arg):
+            assert not _cond_holds(session, TRUE_COND, spec, True)
+            assert not _cond_holds(session, Not(TRUE_COND), spec, False)
+        assert _cond_holds(session, TRUE_COND, session.specs[0], True)
+
+    def test_each_spec_sees_its_own_state(self, session):
+        exists = Atom(call(ClassLit("Post"), "exists?",
+                           RecordLit((("slug", StrLit("present")),))))
+        for _ in range(2):
+            assert _cond_holds(session, exists, session.specs[0], True)
+            assert _cond_holds(session, exists, session.specs[1], False)
+
+
+class TestDeadline:
+    def test_expired_session_stops_condition_search_and_rewriting(self, session):
+        session.deadline = time.monotonic() - 1.0
+        assert synth_condition(session, frozenset({0}), frozenset({1})) is None
+        t = MergeTuple(Var("arg0"), atom("b"), frozenset({0}))
+        u = MergeTuple(Var("arg0"), atom("b"), frozenset({1}))
+        assert rewrite_merge(MergeTerm((t, u)), session).tuples == (t, u)
+        assert session.stats.evaluated == 0
