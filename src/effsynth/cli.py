@@ -23,11 +23,8 @@ _MODE_FLAGS = {"full": "full", "types-only": "types_only",
 
 
 def _config(args) -> SearchConfig:
-    schedule = (8, 16, 32, 64)
-    if args.max_size is not None:
-        schedule = (args.max_size,)
     return SearchConfig(
-        size_schedule=schedule,
+        max_size=args.max_size,
         mode=_MODE_FLAGS[args.mode],
         precision=args.precision,
         candidate_budget=args.budget,
@@ -35,11 +32,18 @@ def _config(args) -> SearchConfig:
     )
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not >= 1")
+    return n
+
+
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=sorted(_MODE_FLAGS), default="full")
     p.add_argument("--precision", choices=PRECISIONS, default="precise")
-    p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--budget", type=int, default=50_000)
+    p.add_argument("--max-size", type=_positive_int, default=64)
+    p.add_argument("--budget", type=_positive_int, default=50_000)
     p.add_argument("--timeout", type=float, default=None,
                    help="wall-clock limit in seconds")
 
@@ -143,7 +147,7 @@ def cmd_bench(args) -> int:
         for mode in modes:
             for precision in precisions:
                 cfg = SearchConfig(
-                    size_schedule=(args.max_size,) if args.max_size else (8, 16, 32, 64),
+                    max_size=args.max_size,
                     mode=_MODE_FLAGS[mode], precision=precision,
                     candidate_budget=args.budget, timeout_s=args.timeout,
                 )
@@ -199,8 +203,8 @@ def main(argv=None) -> int:
     p.add_argument("dir")
     p.add_argument("--modes", default="full")
     p.add_argument("--precisions", default="precise")
-    p.add_argument("--budget", type=int, default=50_000)
-    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=50_000)
+    p.add_argument("--max-size", type=_positive_int, default=64)
     p.add_argument("--timeout", type=float, default=None)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(fn=cmd_bench)

@@ -317,13 +317,11 @@ class RecordLit:
 @dataclass(frozen=True)
 class TypedHole:
     ty: TypeExpr
-    hole_id: int = 0
 
 
 @dataclass(frozen=True)
 class EffectHole:
     eff: Effect
-    hole_id: int = 0
 
 
 Expr = Union[
@@ -416,20 +414,6 @@ def free_vars(e: Union[Expr, Cond]) -> set[str]:
     return out
 
 
-def renumber_holes(e: Expr) -> Expr:
-    """Assign hole ids 0..n in preorder so structurally equal terms compare equal."""
-    counter = itertools.count()
-
-    def go(n):
-        if isinstance(n, TypedHole):
-            return TypedHole(n.ty, next(counter))
-        if isinstance(n, EffectHole):
-            return EffectHole(n.eff, next(counter))
-        return rebuild(n, [go(c) for c in children(n)])
-
-    return go(e)
-
-
 def rebuild(e: Union[Expr, Cond], kids: list) -> Union[Expr, Cond]:
     """Reconstruct a node with replaced children (same order as children())."""
     if isinstance(e, Seq):
@@ -452,10 +436,7 @@ def rebuild(e: Union[Expr, Cond], kids: list) -> Union[Expr, Cond]:
 
 
 def alpha_key(e: Union[Expr, Cond], env: Optional[dict[str, str]] = None, counter=None) -> tuple:
-    """Structural key with let-bound variables renamed in traversal order.
-
-    Hole ids are ignored so candidates that differ only in numbering collide.
-    """
+    """Structural key with let-bound variables renamed in traversal order."""
     if env is None:
         env = {}
     if counter is None:

@@ -14,7 +14,7 @@ from .core import (
     Call, ClassStar, ClassTable, Effect, EffectHole, EffectPair, Expr, Let,
     MethodSig, NilLit, PURE, Region, Seq, SelfRegion, SelfStar, Star,
     TypedHole, TypeExpr, Var, canon_effect, eff_subsumes, is_complete,
-    renumber_holes, resolve_self, type_key, walk,
+    resolve_self, type_key, walk,
 )
 from .typegen import FULL_RULES, RuleConfig, TypeEnv, rewrite_leftmost_hole
 
@@ -32,8 +32,7 @@ def wrap_effect_hole(e: Expr, err_eff: EffectPair, ty: TypeExpr) -> Expr:
     failure's read component before a typed hole of the candidate's type."""
     assert is_complete(e)
     var = _fresh_let_var(e)
-    wrapped = Let(var, e, Seq(EffectHole(err_eff.read), TypedHole(ty)))
-    return renumber_holes(wrapped)
+    return Let(var, e, Seq(EffectHole(err_eff.read), TypedHole(ty)))
 
 
 def write_specificity(eff: Effect) -> int:

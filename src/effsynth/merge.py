@@ -287,10 +287,12 @@ def synth_condition(session: MergeSession, true_ids: frozenset[int],
 def rewrite_merge(term: MergeTerm, session: MergeSession) -> MergeTerm:
     """Apply the adjacent-pair rules to fixpoint. Condition resynthesis fires
     at most once per pair; if it cannot find separating conditions the pair
-    is left in its original chained form. Past the session deadline the
-    chain is returned as far as it got."""
+    is left in its original chained form. Rewriting also stops when a chain
+    repeats, because the negation guesses can undo each other, and past the
+    session deadline; the chain is returned as far as it got."""
     tuples = list(term.tuples)
     tried_resynth: set = set()
+    visited = {tuple(map(_tuple_key, tuples))}
     changed = True
     while changed and not session.expired():
         changed = False
@@ -302,9 +304,15 @@ def rewrite_merge(term: MergeTerm, session: MergeSession) -> MergeTerm:
                 tuples[i : i + 2] = [step[0]]
             else:
                 tuples[i], tuples[i + 1] = step
-            changed = True
+            state = tuple(map(_tuple_key, tuples))
+            changed = state not in visited
+            visited.add(state)
             break
     return MergeTerm(tuple(tuples))
+
+
+def _tuple_key(t: MergeTuple) -> tuple:
+    return (alpha_key(t.expr), cond_key(t.cond), tuple(sorted(t.specs)))
 
 
 def _is_true(e: Expr) -> bool:
@@ -349,8 +357,7 @@ def _rewrite_pair(t1: MergeTuple, t2: MergeTuple, session: MergeSession,
                 return (MergeTuple(t1.expr, guess, t1.specs), t2)
 
     if (imp12 or imp21) and not e_eq:
-        mark = (alpha_key(t1.expr), cond_key(t1.cond), tuple(sorted(t1.specs)),
-                alpha_key(t2.expr), cond_key(t2.cond), tuple(sorted(t2.specs)))
+        mark = (_tuple_key(t1), _tuple_key(t2))
         if mark in tried_resynth:
             return None
         tried_resynth.add(mark)

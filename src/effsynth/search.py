@@ -37,10 +37,9 @@ PRECISIONS = ("precise", "class", "purity")
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for one synthesis run. The search itself is fully deterministic;
-    there is no seed. size_schedule is the iterative-deepening ladder of
-    maximum candidate sizes."""
+    there is no seed. max_size bounds the size of every enqueued candidate."""
 
-    size_schedule: tuple[int, ...] = (8, 16, 32, 64)
+    max_size: int = 64
     mode: str = "full"
     precision: str = "precise"
     candidate_budget: int = 50_000
@@ -51,14 +50,10 @@ class SearchConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.precision not in PRECISIONS:
             raise ValueError(f"unknown precision {self.precision!r}")
-        if not self.size_schedule or min(self.size_schedule) < 1:
-            raise ValueError("size_schedule entries must be >= 1")
+        if self.max_size < 1:
+            raise ValueError("max_size must be >= 1")
         if self.candidate_budget < 1:
             raise ValueError("candidate_budget must be >= 1")
-
-    @property
-    def max_size(self) -> int:
-        return self.size_schedule[-1]
 
     def rules(self) -> RuleConfig:
         return RuleConfig(
@@ -79,14 +74,13 @@ class SearchStats:
     evaluated: int = 0
     pops: int = 0
     peak_queue: int = 0
-    max_size_reached: int = 0
     wall_ms: float = 0.0
 
 
 @dataclass(frozen=True)
 class WorkItem:
     """Worklist entry: best-first by passed assertions, then candidate size,
-    then insertion order (seq is unique per search stage)."""
+    then insertion order (seq is unique per search)."""
 
     passed: int
     cand: Expr
@@ -105,10 +99,6 @@ class GenerateResult:
     @property
     def found(self) -> bool:
         return self.expr is not None
-
-
-class BudgetExhausted(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -171,46 +161,37 @@ def search(
     stats = stats if stats is not None else SearchStats()
     rules = rules if rules is not None else cfg.rules()
     wrap_on = wrap and cfg.wrap_enabled
-    try:
-        for max_size in cfg.size_schedule:
-            stats.max_size_reached = max(stats.max_size_reached, max_size)
-            found = _stage(env, ret_ty, ct, sigma, cfg, rules, evaluate,
-                           wrap_on, max_size, deadline, stats)
-            if found is not None:
-                return GenerateResult(found, stats)
-    except BudgetExhausted:
-        pass
-    finally:
-        stats.wall_ms += (time.monotonic() - t0) * 1000.0
-    return GenerateResult(None, stats)
+    found = _run(env, ret_ty, ct, sigma, cfg, rules, evaluate, wrap_on,
+                 deadline, stats)
+    stats.wall_ms += (time.monotonic() - t0) * 1000.0
+    return GenerateResult(found, stats)
 
 
-def _stage(env, ret_ty, ct, sigma, cfg, rules, evaluate, wrap_on, max_size,
-           deadline, stats) -> Optional[Expr]:
+def _run(env, ret_ty, ct, sigma, cfg, rules, evaluate, wrap_on, deadline,
+         stats) -> Optional[Expr]:
+    """The worklist loop: the passing candidate, or None once the worklist,
+    the evaluation budget, or the deadline runs out."""
     seq = 0
     heap: list[tuple[tuple[int, int, int], WorkItem]] = []
     seen: set = set()
-    root = TypedHole(ret_ty)
 
-    def push(passed: int, cand: Expr, size: Optional[int] = None) -> None:
+    def push(passed: int, cand: Expr, size: int) -> None:
         nonlocal seq
         key = dedup_key(cand, ct)
         if key in seen:
             return
         seen.add(key)
-        if size is None:
-            size = expr_size(cand)
         item = WorkItem(passed, cand, seq, size)
         heapq.heappush(heap, (item.key(), item))
         seq += 1
         stats.peak_queue = max(stats.peak_queue, len(heap))
 
-    push(0, root)
+    push(0, TypedHole(ret_ty), 0)
     while heap:
         if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExhausted
+            return None
         if stats.evaluated >= cfg.candidate_budget:
-            raise BudgetExhausted
+            return None
         _, item = heapq.heappop(heap)
         cand, passed = item.cand, item.passed
         stats.pops += 1
@@ -229,7 +210,7 @@ def _stage(env, ret_ty, ct, sigma, cfg, rules, evaluate, wrap_on, max_size,
                     continue
                 seen.add(key)
                 if stats.evaluated >= cfg.candidate_budget:
-                    raise BudgetExhausted
+                    return None
                 res = evaluate(p)
                 stats.evaluated += 1
                 if res.ok:
@@ -238,12 +219,12 @@ def _stage(env, ret_ty, ct, sigma, cfg, rules, evaluate, wrap_on, max_size,
                     ty = typecheck(env, ct, p, strict=False) if rules.types_on else ret_ty
                     wrapped = wrap_effect_hole(p, res.outcome.eff, ty)
                     wsize = expr_size(wrapped)
-                    if wsize <= max_size:
+                    if wsize <= cfg.max_size:
                         push(res.passed_count, wrapped, wsize)
                 # Runtime errors carry no effect hint; the candidate is dropped.
             else:
                 psize = expr_size(p)
-                if psize <= max_size:
+                if psize <= cfg.max_size:
                     push(passed, p, psize)
     return None
 

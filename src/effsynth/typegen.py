@@ -21,8 +21,7 @@ from .core import (
     ConstantPool, DefinitionError, EffectHole, Expr, FalseLit, If, IntLit,
     INT_T, Let, NIL_T, NilLit, Not, OBJ_T, Or, RecordLit, RecordT, Seq,
     StrLit, STR_T, SymLit, SYM_T, TrueLit, TypedHole, TypeExpr, UnionT, Var,
-    children, leftmost_hole, rebuild, record_of, renumber_holes, subtype,
-    union_of,
+    children, leftmost_hole, rebuild, record_of, subtype, union_of,
 )
 
 TypeEnv = dict[str, TypeExpr]
@@ -213,8 +212,7 @@ def rewrite_leftmost_hole(
                 return out
         return None
 
-    results = go(e, env)
-    return [renumber_holes(r) for r in (results or [])]
+    return go(e, env) or []
 
 
 def _children_with_env(node, scope: TypeEnv, ct: ClassTable):

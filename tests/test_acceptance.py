@@ -361,7 +361,7 @@ def test_criterion_7_rewrite_rules(blog):
     )
     session = MergeSession(
         goal_params=(STR_T,), ret_ty=STR_T, ct=ct, sigma=sigma, world=world,
-        cfg=SearchConfig(size_schedule=(6,), candidate_budget=2000), specs=specs,
+        cfg=SearchConfig(max_size=6, candidate_budget=2000), specs=specs,
     )
     b, c = Atom(Var("b")), Atom(Var("c"))
 

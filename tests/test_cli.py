@@ -158,6 +158,14 @@ class TestBench:
         code, _, err = run(capsys, "bench", str(bench_dir), "--modes", "warp")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--max-size", "--budget"])
+    def test_nonpositive_bounds_exit_two(self, capsys, flag):
+        for argv in (["synth", str(GOALS / "s1_lvar.goal")], ["bench", str(GOALS)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [flag, "0"])
+            assert exc.value.code == 2
+            assert "is not >= 1" in capsys.readouterr().err
+
     def test_bench_empty_dir_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "bench", str(tmp_path))
         assert code == 2

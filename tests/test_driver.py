@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import pytest
@@ -64,7 +65,7 @@ class TestSynthesize:
         impossible = Spec("never", (), (StrLit("a"),),
                           (Call(Var("x_r"), "==", (StrLit("b"),)),))
         goal = Goal("g", (STR_T,), STR_T, ConstantPool(), (impossible,))
-        cfg = SearchConfig(size_schedule=(1,), candidate_budget=30)
+        cfg = SearchConfig(max_size=1, candidate_budget=30)
         program, report = synthesize(goal, ct, world, cfg)
         assert program is None
         assert not report.success
@@ -96,15 +97,27 @@ class TestSynthesize:
 
 class TestTimeout:
     def test_merge_stops_at_the_deadline(self):
-        # rewriting lookup4's chains alternates two negation guesses forever;
-        # the deadline must end it
-        gf = parse_goal_file(lookup_goal_text(4))
+        # merging lookup6 tries 720 orderings, far more than fit in the
+        # timeout; the deadline must end it inside merge
+        gf = parse_goal_file(lookup_goal_text(6))
         ct, world = build(gf)
         t0 = time.monotonic()
-        program, report = synthesize(gf.goal, ct, world, SearchConfig(timeout_s=2))
-        assert time.monotonic() - t0 < 2 + 3
+        program, report = synthesize(gf.goal, ct, world, SearchConfig(timeout_s=0.3))
+        assert time.monotonic() - t0 < 0.3 + 3
         assert program is None
         assert report.failed_stage == "merge"
+        assert report.merge_orderings_tried < 720
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_lookup_merge_ends_without_a_timeout(n):
+    # merge rewriting stops when a chain repeats, so every ordering ends
+    gf = parse_goal_file(lookup_goal_text(n))
+    ct, world = build(gf)
+    program, report = synthesize(gf.goal, ct, world, SearchConfig())
+    assert program is None
+    assert report.failed_stage == "merge"
+    assert report.merge_orderings_tried == math.factorial(n)
 
 
 def with_decoys(goal, rows):

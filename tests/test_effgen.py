@@ -25,8 +25,8 @@ class TestWrap:
         assert isinstance(wrapped, Let)
         assert wrapped.bound == cand
         assert isinstance(wrapped.body, Seq)
-        assert wrapped.body.first == EffectHole(Effect((Region("Post", "title"),)), 0)
-        assert wrapped.body.second == TypedHole(ClassT("Post"), 1)
+        assert wrapped.body.first == EffectHole(Effect((Region("Post", "title"),)))
+        assert wrapped.body.second == TypedHole(ClassT("Post"))
 
     def test_wrap_is_type_generic(self, blog):
         ct, _ = blog
@@ -115,7 +115,7 @@ class TestExpandEffectHole:
         syncs = [c.first for c in out
                  if isinstance(c.first, Seq) and c.first.second.method == "sync!"]
         assert len(syncs) == 1
-        assert syncs[0].first == EffectHole(Effect((Region("User", "name"),)), 0)
+        assert syncs[0].first == EffectHole(Effect((Region("User", "name"),)))
 
     def test_typecheck_preserved(self, blog):
         ct, _ = blog

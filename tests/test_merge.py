@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from effsynth.core import (
     Atom, BOOL_T, Call, ClassLit, ClassOf, ClassT, ConstantPool, FalseLit,
@@ -139,7 +140,7 @@ def session(blog):
     )
     return MergeSession(
         goal_params=(STR_T,), ret_ty=STR_T, ct=ct, sigma=sigma, world=world,
-        cfg=SearchConfig(size_schedule=(6,), candidate_budget=300),
+        cfg=SearchConfig(max_size=6, candidate_budget=300),
         specs=specs,
     )
 
@@ -191,7 +192,7 @@ class TestRewriteRules:
         session = MergeSession(
             goal_params=session.goal_params, ret_ty=session.ret_ty,
             ct=session.ct, sigma=session.sigma, world=session.world,
-            cfg=SearchConfig(size_schedule=(2,), candidate_budget=60),
+            cfg=SearchConfig(max_size=2, candidate_budget=60),
             specs=(session.specs[1], session.specs[1]),
         )
         t = MergeTuple(StrLit("x"), TRUE_COND, frozenset({0}))
@@ -263,6 +264,38 @@ class TestRewriteRules:
         assert a == c
 
 
+_CONDS = st.recursive(
+    st.sampled_from([
+        TRUE_COND, atom("q"), Atom(eq(Var("arg0"), StrLit("present"))),
+        Atom(call(ClassLit("Post"), "exists?", RecordLit((("slug", StrLit("present")),)))),
+    ]),
+    lambda sub: st.one_of(sub.map(Not), st.tuples(sub, sub).map(lambda lr: Or(*lr))),
+    max_leaves=3)
+
+_TUPLES = st.lists(st.builds(
+    MergeTuple,
+    st.sampled_from([StrLit("present"), StrLit("absent"), Var("arg0"), TrueLit(), FalseLit()]),
+    _CONDS,
+    st.sampled_from([frozenset({0}), frozenset({1}), frozenset({0, 1})]),
+), min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tuples=_TUPLES)
+def test_rewrite_merge_terminates_on_random_chains(session, tuples):
+    # a fresh session per chain; the deadline only bounds a failing run
+    fresh = MergeSession(
+        goal_params=session.goal_params, ret_ty=session.ret_ty, ct=session.ct,
+        sigma=session.sigma, world=session.world,
+        cfg=SearchConfig(max_size=2, candidate_budget=60), specs=session.specs,
+        deadline=time.monotonic() + 10.0,
+    )
+    out = rewrite_merge(MergeTerm(tuple(tuples)), fresh)
+    assert not fresh.expired()
+    assert out.spec_ids() == MergeTerm(tuple(tuples)).spec_ids()
+
+
 class TestProg:
     def test_single_true_tuple_collapses(self):
         term = MergeTerm((MergeTuple(Var("x"), TRUE_COND, frozenset({0})),))
@@ -304,7 +337,7 @@ class TestSynthCondition:
         assert cond_eq(backward, canon_not(forward))
 
     def test_contradiction_unsolvable(self, session):
-        session.cfg = SearchConfig(size_schedule=(2,), candidate_budget=60)
+        session.cfg = SearchConfig(max_size=2, candidate_budget=60)
         cond = synth_condition(session, frozenset({0}), frozenset({0}))
         assert cond is None
 
@@ -334,7 +367,7 @@ class TestMergeProgram:
             assert session.run_body(body, spec).ok
 
     def test_no_valid_ordering_returns_none(self, session):
-        session.cfg = SearchConfig(size_schedule=(2,), candidate_budget=60)
+        session.cfg = SearchConfig(max_size=2, candidate_budget=60)
         bad = MergeTuple(Call(NilLit(), "boom", ()), TRUE_COND, frozenset({0, 1}))
         assert merge_program([bad], session) is None
 

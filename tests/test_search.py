@@ -36,9 +36,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(precision="fuzzy")
 
-    def test_rejects_empty_schedule(self):
+    def test_rejects_nonpositive_max_size(self):
         with pytest.raises(ValueError):
-            SearchConfig(size_schedule=())
+            SearchConfig(max_size=0)
 
     def test_wrap_disabled_only_for_none(self):
         assert SearchConfig(mode="none").wrap_enabled is False
@@ -118,7 +118,7 @@ class TestGenerate:
     def test_no_solution_carries_stats(self, blog):
         ct, world = blog
         spec = mkspec([], [], [FalseLit()])
-        cfg = SearchConfig(size_schedule=(2,), candidate_budget=50)
+        cfg = SearchConfig(max_size=2, candidate_budget=50)
         res = generate((), BOOL_T, ct, BASE_CONSTS, spec, world, cfg)
         assert res.expr is None
         assert res.stats.evaluated <= 50
@@ -159,7 +159,7 @@ class TestGenerate:
         sigma = ConstantPool(((ClassLit("Post"), ClassOf("Post")),))
         setup = [SetupStmt(call(ClassLit("Post"), "create", RecordLit(())), "p")]
         spec = mkspec(setup, [], [eq(call(Var("x_r"), "id"), call(Var("p"), "id"))])
-        cfg = SearchConfig(size_schedule=(1,), candidate_budget=2000)
+        cfg = SearchConfig(max_size=1, candidate_budget=2000)
         res = generate((), ClassT("Post"), ct, sigma, spec, world, cfg)
         # the solution needs where({}).first of size 2, beyond the bound
         assert res.expr is None
@@ -180,7 +180,7 @@ class TestGenerate:
         post = [eq(call(Var("x_r"), "id"), call(Var("p"), "id")),
                 eq(call(Var("x_r"), "title"), StrLit("new"))]
         spec = mkspec(setup, [StrLit("new")], post)
-        cfg = SearchConfig(mode="none", size_schedule=(6,), candidate_budget=3000)
+        cfg = SearchConfig(mode="none", max_size=6, candidate_budget=3000)
         res = generate((STR_T,), ClassT("Post"), ct, sigma, spec, world, cfg)
         assert res.expr is None
 
@@ -241,7 +241,7 @@ class TestDispatchSoundness:
         from effsynth.core import BOOL_T
 
         search({"arg0": STR_T}, ClassT("Post"), ct, sigma,
-               SearchConfig(size_schedule=(5,), candidate_budget=400), watched)
+               SearchConfig(max_size=5, candidate_budget=400), watched)
         assert kinds, "expected some runtime failures among candidates"
         assert "method-missing" not in kinds
         assert set(kinds) <= {"nil-method-missing"}

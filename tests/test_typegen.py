@@ -3,11 +3,12 @@ import itertools
 import pytest
 
 from effsynth.core import (
-    Atom, BOOL_T, Call, ClassLit, ClassOf, ClassT, ConstantPool, EffectHole,
-    FalseLit, If, IntLit, INT_T, Let, NIL_T, NilLit, OBJ_T, PURE, RecordLit,
-    RecordT, Seq, StrLit, STR_T, TrueLit, TypedHole, UnionT, Var, alpha_key,
-    record_of, union_of,
+    Atom, BOOL_T, Call, ClassLit, ClassOf, ClassT, ConstantPool, Effect,
+    EffectHole, FalseLit, If, IntLit, INT_T, Let, NIL_T, NilLit, OBJ_T, PURE,
+    RecordLit, RecordT, Region, Seq, StrLit, STR_T, TrueLit, TypedHole, UnionT,
+    Var, alpha_key, record_of, union_of,
 )
+from effsynth.effgen import expand_effect_hole
 from effsynth.runtime import relation_class
 from effsynth.typegen import (
     RuleConfig, TypeCheckError, expand_typed_hole, typecheck,
@@ -106,6 +107,18 @@ class TestExpandTypedHole:
         keys = {alpha_key(e) for e in out}
         want = Call(TypedHole(ClassOf("Post")), "create", (TypedHole(POST_REC),))
         assert alpha_key(want) in keys
+
+    def test_products_equal_hand_built_templates(self, blog):
+        # a hole is its annotation: products of either expansion compare
+        # equal to the same templates written by hand
+        ct, _ = blog
+        create = Call(TypedHole(ClassOf("Post")), "create", (TypedHole(POST_REC),))
+        setter = Call(TypedHole(ClassT("Post")), "title=", (TypedHole(STR_T),))
+        assert create in expand_typed_hole({}, ct, ConstantPool(), TypedHole(ClassT("Post")))
+        rest = TypedHole(ClassT("Post"))
+        e = Seq(EffectHole(Effect((Region("Post", "title"),))), rest)
+        assert expand_effect_hole(ct, e) == [
+            Seq(NilLit(), rest), Seq(setter, rest), Seq(create, rest)]
 
     def test_singleton_hole_filled_by_class_constant(self, blog):
         ct, _ = blog
