@@ -39,12 +39,19 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _positive_float(text: str) -> float:
+    x = float(text)
+    if not x > 0:  # also false for nan
+        raise argparse.ArgumentTypeError(f"{text} is not > 0")
+    return x
+
+
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=sorted(_MODE_FLAGS), default="full")
     p.add_argument("--precision", choices=PRECISIONS, default="precise")
     p.add_argument("--max-size", type=_positive_int, default=64)
     p.add_argument("--budget", type=_positive_int, default=50_000)
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_positive_float, default=None,
                    help="wall-clock limit in seconds")
 
 
@@ -205,7 +212,7 @@ def main(argv=None) -> int:
     p.add_argument("--precisions", default="precise")
     p.add_argument("--budget", type=_positive_int, default=50_000)
     p.add_argument("--max-size", type=_positive_int, default=64)
-    p.add_argument("--timeout", type=float, default=None)
+    p.add_argument("--timeout", type=_positive_float, default=None)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(fn=cmd_bench)
 

@@ -356,23 +356,20 @@ TRUE_COND = Atom(TRUE)
 
 def children(e: Union[Expr, Cond]) -> tuple:
     """Sub-terms of a node in left-to-right order."""
-    if isinstance(e, Seq):
-        return (e.first, e.second)
-    if isinstance(e, Call):
-        return (e.recv, *e.args)
-    if isinstance(e, If):
-        return (e.cond, e.then, e.orelse)
-    if isinstance(e, Let):
-        return (e.bound, e.body)
-    if isinstance(e, RecordLit):
-        return tuple(v for _, v in e.pairs)
-    if isinstance(e, Atom):
-        return (e.expr,)
-    if isinstance(e, Not):
-        return (e.inner,)
-    if isinstance(e, Or):
-        return (e.left, e.right)
-    return ()
+    kids = _CHILDREN.get(type(e))
+    return () if kids is None else kids(e)
+
+
+_CHILDREN = {
+    Seq: lambda e: (e.first, e.second),
+    Call: lambda e: (e.recv, *e.args),
+    If: lambda e: (e.cond, e.then, e.orelse),
+    Let: lambda e: (e.bound, e.body),
+    RecordLit: lambda e: tuple(v for _, v in e.pairs),
+    Atom: lambda e: (e.expr,),
+    Not: lambda e: (e.inner,),
+    Or: lambda e: (e.left, e.right),
+}
 
 
 def walk(e: Union[Expr, Cond]) -> Iterator[Union[Expr, Cond]]:
@@ -396,10 +393,45 @@ def is_complete(e: Union[Expr, Cond]) -> bool:
     return not any(isinstance(n, (TypedHole, EffectHole)) for n in walk(e))
 
 
-def leftmost_hole(e: Union[Expr, Cond]) -> Optional[Union[TypedHole, EffectHole]]:
-    for n in walk(e):
-        if isinstance(n, (TypedHole, EffectHole)):
-            return n
+@dataclass(frozen=True)
+class HolePath:
+    """The leftmost hole of a term and the frames above it, outermost first.
+
+    A frame is (node, index, kids): a node on the way down, the index of the
+    child the path continues into, and the node's children() as found.
+    """
+
+    hole: Union[TypedHole, EffectHole]
+    frames: tuple[tuple[Union[Expr, Cond], int, tuple], ...]
+
+    def plug(self, fill: Expr) -> Union[Expr, Cond]:
+        """The term with the hole replaced by fill. Only the nodes on the path
+        are rebuilt; every subterm off it is shared with the term."""
+        e = fill
+        for node, i, kids in reversed(self.frames):
+            new = list(kids)
+            new[i] = e
+            e = rebuild(node, new)
+        return e
+
+
+def leftmost_hole(e: Union[Expr, Cond]) -> Optional[HolePath]:
+    """The path to the first hole in preorder, or None for a complete term."""
+    frames: list = []
+    hole = _descend(e, frames)
+    return None if hole is None else HolePath(hole, tuple(frames))
+
+
+def _descend(e, frames: list):
+    if isinstance(e, (TypedHole, EffectHole)):
+        return e
+    kids = children(e)
+    for i, c in enumerate(kids):
+        frames.append((e, i, kids))
+        hole = _descend(c, frames)
+        if hole is not None:
+            return hole
+        frames.pop()
     return None
 
 
@@ -502,6 +534,9 @@ class ClassTable:
         self._methods: dict[tuple[bool, str, str], MethodSig] = {}
         self._sig_cache: Optional[tuple[MethodSig, ...]] = None
         self._impure_cache: Optional[frozenset[str]] = None
+        # (t1, t2) pairs known to be subtypes. Declaring a class leaves the
+        # relation between known types as it was, so nothing clears this.
+        self._subtype_hits: set[tuple["TypeExpr", "TypeExpr"]] = set()
 
     # -- classes ------------------------------------------------------------
 
@@ -602,9 +637,15 @@ def subtype(t1: TypeExpr, t2: TypeExpr, ct: ClassTable) -> bool:
     """The subtype preorder: Nil below all, Obj above all, unions pointwise,
     singleton classes related only to themselves (and Obj), records by width
     over keys with covariant field types and required-key presence."""
+    pair = (t1, t2)
+    if pair in ct._subtype_hits:
+        return True
     _validate_type(t1, ct)
     _validate_type(t2, ct)
-    return _subtype(t1, t2, ct)
+    if _subtype(t1, t2, ct):
+        ct._subtype_hits.add(pair)
+        return True
+    return False
 
 
 def _validate_type(t: TypeExpr, ct: ClassTable) -> None:

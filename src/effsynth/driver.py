@@ -76,6 +76,8 @@ class RunReport:
     paths: Optional[int]
     tuple_count: int
     merge_orderings_tried: int
+    pops: int
+    peak_queue: int
     failed_stage: Optional[str] = None
 
     def to_dict(self) -> dict:
@@ -101,6 +103,8 @@ class RunReport:
             "paths": self.paths,
             "tuple_count": self.tuple_count,
             "merge_orderings_tried": self.merge_orderings_tried,
+            "pops": self.pops,
+            "peak_queue": self.peak_queue,
             "failed_stage": self.failed_stage,
         }
 
@@ -131,6 +135,8 @@ def synthesize(goal: Goal, ct: ClassTable, world: World,
             program_size=program_size, paths=paths,
             tuple_count=len(tuples),
             merge_orderings_tried=session.orderings_tried,
+            pops=session.stats.pops,
+            peak_queue=session.stats.peak_queue,
             failed_stage=stage,
         )
 

@@ -10,13 +10,15 @@ most-specific writers first.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .core import (
-    Call, ClassStar, ClassTable, Effect, EffectHole, EffectPair, Expr, Let,
-    MethodSig, NilLit, PURE, Region, Seq, SelfRegion, SelfStar, Star,
-    TypedHole, TypeExpr, Var, canon_effect, eff_subsumes, is_complete,
+    Call, ClassStar, ClassTable, Effect, EffectHole, EffectPair, Expr,
+    HolePath, Let, MethodSig, NilLit, Region, Seq, SelfRegion, SelfStar,
+    Star, TypedHole, TypeExpr, canon_effect, eff_subsumes, is_complete,
     resolve_self, type_key, walk,
 )
-from .typegen import FULL_RULES, RuleConfig, TypeEnv, rewrite_leftmost_hole
+from .typegen import FULL_RULES, Product, RuleConfig, TypeEnv, fill_leftmost
 
 
 def _fresh_let_var(e: Expr) -> str:
@@ -47,16 +49,20 @@ def write_specificity(eff: Effect) -> int:
     return 2
 
 
-def expand_effect_hole(ct: ClassTable, e: Expr, env: TypeEnv | None = None,
-                       cfg: RuleConfig = FULL_RULES) -> list[Expr]:
-    """One-step expansions of the leftmost effect hole: nil first, then one
-    call template per method whose self-resolved write effect subsumes the
-    hole (every method when effect guidance is ablated). A matching method's
-    own read effect precedes the call as a fresh effect hole unless pure."""
-    if env is None:
-        env = {}
+def expand_effect_hole(ct: ClassTable, path: Optional[HolePath],
+                       env: TypeEnv | None = None, cfg: RuleConfig = FULL_RULES,
+                       memo: Optional[dict] = None) -> list[Product]:
+    """One-step expansions of path's hole if it is an effect hole: nil
+    first, then one call template per method whose self-resolved write
+    effect subsumes the hole (every method when effect guidance is ablated).
+    A matching method's own read effect precedes the call as a fresh effect
+    hole unless pure. With types on, products go through the same path
+    check as typed-hole products (typegen.fill_leftmost)."""
+    if path is None or not isinstance(path.hole, EffectHole):
+        return []
+    eff = path.hole.eff
 
-    def fills(eff: Effect, scope: TypeEnv) -> list[Expr]:
+    def fills(scope: TypeEnv) -> list[Expr]:
         out: list[Expr] = [NilLit()]
         if eff.is_pure():
             # A pure hole is satisfied by nil alone; every write subsumes it,
@@ -85,19 +91,7 @@ def expand_effect_hole(ct: ClassTable, e: Expr, env: TypeEnv | None = None,
                 out.append(Seq(EffectHole(resolved_r), call))
         return out
 
-    candidates = rewrite_leftmost_hole(e, env, ct, None, fills)
-    if not cfg.types_on:
-        return candidates
-    from .typegen import TypeCheckError, typecheck
-
-    kept = []
-    for c in candidates:
-        try:
-            typecheck(env, ct, c)
-        except TypeCheckError:
-            continue
-        kept.append(c)
-    return kept
+    return fill_leftmost({} if env is None else env, ct, path, fills, cfg.types_on, memo)
 
 
 # ---------------------------------------------------------------------------

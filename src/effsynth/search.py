@@ -1,8 +1,11 @@
 """The per-spec worklist synthesis loop.
 
 Candidates are explored best-first: most passed assertions, then smallest
-size, then insertion order. Popping a candidate expands its leftmost hole;
-complete expansions are evaluated immediately, failures with an assertion
+size, then insertion order. Popping a candidate descends once to its
+leftmost hole and expands it there; each worklist entry carries its
+candidate's size and hole count, and each product the deltas of both, so no
+product is walked again to size it or to tell whether it is complete.
+Complete expansions are evaluated immediately, failures with an assertion
 error are re-enqueued wrapped in an effect hole carrying the failure's read
 effect, and everything else goes back on the worklist until the size bound,
 the evaluation budget, or the deadline cuts the search off.
@@ -17,8 +20,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core import (
-    ClassTable, ConstantPool, Expr, Let, NilLit, Seq, TypedHole, TypeExpr,
-    Var, alpha_key, children, expr_size, is_complete, leftmost_hole, rebuild,
+    Call, ClassTable, ConstantPool, Expr, Let, NilLit, Seq, TypedHole,
+    TypeExpr, Var, alpha_key, children, free_vars, leftmost_hole, rebuild,
+    walk,
 )
 from .effgen import expand_effect_hole, wrap_effect_hole
 from .interp import AssertErr, Spec, SpecResult, SpecStart, run_spec, spec_start
@@ -54,6 +58,8 @@ class SearchConfig:
             raise ValueError("max_size must be >= 1")
         if self.candidate_budget < 1:
             raise ValueError("candidate_budget must be >= 1")
+        if self.timeout_s is not None and not self.timeout_s > 0:
+            raise ValueError("timeout_s must be > 0")
 
     def rules(self) -> RuleConfig:
         return RuleConfig(
@@ -80,12 +86,14 @@ class SearchStats:
 @dataclass(frozen=True)
 class WorkItem:
     """Worklist entry: best-first by passed assertions, then candidate size,
-    then insertion order (seq is unique per search)."""
+    then insertion order (seq is unique per search). The candidate's size
+    and number of holes travel with it, so no product is walked for them."""
 
     passed: int
     cand: Expr
     seq: int
     size: int
+    holes: int
 
     def key(self) -> tuple[int, int, int]:
         return (-self.passed, self.size, self.seq)
@@ -106,8 +114,6 @@ class GenerateResult:
 # ---------------------------------------------------------------------------
 
 def _write_pure(e: Expr, ct: ClassTable) -> bool:
-    from .core import Call, walk
-
     impure = ct.impure_method_names()
     return not any(isinstance(n, Call) and n.method in impure for n in walk(e))
 
@@ -115,23 +121,42 @@ def _write_pure(e: Expr, ct: ClassTable) -> bool:
 def normalize_for_key(e: Expr, ct: ClassTable) -> Expr:
     """Erase dead shapes the rewrite rules keep reintroducing: a sequenced
     nil, a let immediately returning its binding, and a let whose binding is
-    unused and cannot write. Used only for duplicate suppression."""
-    kids = [normalize_for_key(c, ct) for c in children(e)]
-    e = rebuild(e, kids)
+    unused and cannot write. A subterm with nothing to erase is returned as
+    it is, not rebuilt. Used only for duplicate suppression."""
+    kids = children(e)
+    if kids:
+        new = [normalize_for_key(c, ct) for c in kids]
+        if any(n is not c for n, c in zip(new, kids)):
+            e = rebuild(e, new)
     if isinstance(e, Seq) and isinstance(e.first, NilLit):
         return e.second
     if isinstance(e, Let):
         if isinstance(e.body, Var) and e.body.name == e.var:
             return e.bound
-        from .core import free_vars
-
         if e.var not in free_vars(e.body) and _write_pure(e.bound, ct):
             return e.body
     return e
 
 
-def dedup_key(e: Expr, ct: ClassTable) -> tuple:
-    return alpha_key(normalize_for_key(e, ct))
+def _plain(e: Expr) -> bool:
+    """No let and no sequence anywhere in e."""
+    if isinstance(e, Call):
+        return _plain(e.recv) and all(map(_plain, e.args))
+    if isinstance(e, (Let, Seq)):
+        return False
+    return all(map(_plain, children(e)))
+
+
+def dedup_key(e: Expr, ct: ClassTable) -> object:
+    """Candidates with equal keys are duplicates: equal up to the erasures of
+    normalize_for_key and the names of let-bound variables. A term with no
+    let or sequence is its own key, since equality of such terms is
+    structural; only the others are normalized, and alpha-keyed if a let
+    or sequence survives."""
+    if _plain(e):
+        return e
+    e = normalize_for_key(e, ct)
+    return e if _plain(e) else alpha_key(e)
 
 
 # ---------------------------------------------------------------------------
@@ -174,37 +199,40 @@ def _run(env, ret_ty, ct, sigma, cfg, rules, evaluate, wrap_on, deadline,
     seq = 0
     heap: list[tuple[tuple[int, int, int], WorkItem]] = []
     seen: set = set()
+    fill_memo: dict = {}  # shared by every expansion of this search
 
-    def push(passed: int, cand: Expr, size: int) -> None:
+    def push(passed: int, cand: Expr, size: int, holes: int) -> None:
         nonlocal seq
         key = dedup_key(cand, ct)
         if key in seen:
             return
         seen.add(key)
-        item = WorkItem(passed, cand, seq, size)
+        item = WorkItem(passed, cand, seq, size, holes)
         heapq.heappush(heap, (item.key(), item))
         seq += 1
         stats.peak_queue = max(stats.peak_queue, len(heap))
 
-    push(0, TypedHole(ret_ty), 0)
+    push(0, TypedHole(ret_ty), 0, 1)
     while heap:
         if deadline is not None and time.monotonic() > deadline:
             return None
         if stats.evaluated >= cfg.candidate_budget:
             return None
         _, item = heapq.heappop(heap)
-        cand, passed = item.cand, item.passed
+        passed = item.passed
         stats.pops += 1
 
-        hole = leftmost_hole(cand)
-        if isinstance(hole, TypedHole):
-            products = expand_typed_hole(env, ct, sigma, cand, rules)
+        path = leftmost_hole(item.cand)
+        if isinstance(path.hole, TypedHole):
+            products = expand_typed_hole(env, ct, sigma, path, rules, fill_memo)
         else:
-            products = expand_effect_hole(ct, cand, env, rules)
+            products = expand_effect_hole(ct, path, env, rules, fill_memo)
         stats.expanded += len(products)
 
-        for p in products:
-            if is_complete(p):
+        for p, dsize, dholes in products:
+            size = item.size + dsize
+            holes = item.holes + dholes
+            if holes == 0:
                 key = dedup_key(p, ct)
                 if key in seen:
                     continue
@@ -217,15 +245,14 @@ def _run(env, ret_ty, ct, sigma, cfg, rules, evaluate, wrap_on, deadline,
                     return p
                 if wrap_on and isinstance(res.outcome, AssertErr):
                     ty = typecheck(env, ct, p, strict=False) if rules.types_on else ret_ty
+                    # Let, sequence and holes add no size: the wrapped term
+                    # is as large as p and has two holes.
                     wrapped = wrap_effect_hole(p, res.outcome.eff, ty)
-                    wsize = expr_size(wrapped)
-                    if wsize <= cfg.max_size:
-                        push(res.passed_count, wrapped, wsize)
+                    if size <= cfg.max_size:
+                        push(res.passed_count, wrapped, size, 2)
                 # Runtime errors carry no effect hint; the candidate is dropped.
-            else:
-                psize = expr_size(p)
-                if psize <= cfg.max_size:
-                    push(passed, p, psize)
+            elif size <= cfg.max_size:
+                push(passed, p, size, holes)
     return None
 
 

@@ -3,25 +3,32 @@
 Checking implements the standard rules for the core language: literals at
 their leaf classes, calls via class-table lookup with argument subtyping,
 if-expressions at the union of their branches, typed holes at their
-annotation, and effect holes at Obj. Expansion rewrites the leftmost hole
-with constants, variables, record-field reads, method-call templates, or
-record-literal skeletons, then re-checks each candidate whole so narrowing
-contradictions (such as calling a method on a Nil-typed receiver) are pruned
-immediately.
+annotation, and effect holes at Obj. One function holds the rule for each
+node; whole-term checking applies it bottom-up.
+
+Expansion fills the leftmost hole with constants, variables, record-field
+reads, method-call templates, or record-literal skeletons. It works on the
+path down to that hole (core.leftmost_hole), the one descent per expansion:
+each product is rebuilt along the path only and carries how much its size
+and hole count differ from the candidate's. With types on, a product is kept
+exactly when its whole-term check would succeed, so narrowing contradictions
+(such as calling a method on a Nil-typed receiver) are pruned at once; the
+check types the children off the path once per expansion, each fill in the
+hole's scope, and then re-derives only the ancestors on the path.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
-    Atom, BOOL_T, Call, ClassLit, ClassOf, ClassT, ClassTable, Cond,
-    ConstantPool, DefinitionError, EffectHole, Expr, FalseLit, If, IntLit,
-    INT_T, Let, NIL_T, NilLit, Not, OBJ_T, Or, RecordLit, RecordT, Seq,
-    StrLit, STR_T, SymLit, SYM_T, TrueLit, TypedHole, TypeExpr, UnionT, Var,
-    children, leftmost_hole, rebuild, record_of, subtype, union_of,
+    Atom, BOOL_T, Call, ClassLit, ClassOf, ClassT, ClassTable,
+    ConstantPool, DefinitionError, EffectHole, Expr, FalseLit, HolePath, If,
+    IntLit, INT_T, Let, NIL_T, NilLit, Not, OBJ_T, Or, RecordLit, RecordT,
+    Seq, StrLit, STR_T, SymLit, SYM_T, TrueLit, TypedHole, TypeExpr, UnionT,
+    Var, children, expr_size, record_of, subtype, union_of, walk,
 )
 
 TypeEnv = dict[str, TypeExpr]
@@ -84,52 +91,27 @@ def typecheck(env: TypeEnv, ct: ClassTable, e: Expr, *, strict: bool = True) -> 
         return OBJ_T
 
 
-def _check(env: TypeEnv, ct: ClassTable, e: Expr, strict: bool) -> TypeExpr:
-    if isinstance(e, NilLit):
-        return NIL_T
-    if isinstance(e, (TrueLit, FalseLit)):
-        return BOOL_T
-    if isinstance(e, IntLit):
-        return INT_T
-    if isinstance(e, StrLit):
-        return STR_T
-    if isinstance(e, SymLit):
-        return SYM_T
-    if isinstance(e, ClassLit):
-        if strict:
-            ct.require_class(e.name)
-        return ClassOf(e.name)
-    if isinstance(e, Var):
-        if e.name not in env:
-            if strict:
-                raise TypeCheckError(e, f"unbound variable {e.name}")
-            return OBJ_T
-        return env[e.name]
-    if isinstance(e, Seq):
-        _check(env, ct, e.first, strict)
-        return _check(env, ct, e.second, strict)
+def _check(env: TypeEnv, ct: ClassTable, e, strict: bool) -> TypeExpr:
     if isinstance(e, Let):
         bound = _check(env, ct, e.bound, strict)
-        inner = dict(env)
-        inner[e.var] = bound
-        return _check(inner, ct, e.body, strict)
-    if isinstance(e, If):
-        check_cond(env, ct, e.cond, strict=strict)
-        t1 = _check(env, ct, e.then, strict)
-        t2 = _check(env, ct, e.orelse, strict)
-        return union_of(t1, t2)
-    if isinstance(e, RecordLit):
-        fields = []
-        for k, v in e.pairs:
-            fields.append((k, False, _check(env, ct, v, strict)))
-        return record_of(fields)
-    if isinstance(e, TypedHole):
-        return e.ty
-    if isinstance(e, EffectHole):
-        return OBJ_T
+        body = _check(_bind(env, e.var, bound), ct, e.body, strict)
+        return _rule(env, ct, e, (bound, body), strict)
+    return _rule(env, ct, e, [_check(env, ct, c, strict) for c in children(e)], strict)
+
+
+def _bind(env: TypeEnv, var: str, ty: TypeExpr) -> TypeEnv:
+    inner = dict(env)
+    inner[var] = ty
+    return inner
+
+
+def _rule(env: TypeEnv, ct: ClassTable, e, kid_tys, strict: bool) -> TypeExpr:
+    """The typing rule of one node: the type of e under env, given the types
+    of its children in children() order (a let body's under env with the
+    variable bound). Whole-term checking and the path check after a hole
+    fill both type every node through here."""
     if isinstance(e, Call):
-        recv_ty = _check(env, ct, e.recv, strict)
-        arg_tys = [_check(env, ct, a, strict) for a in e.args]
+        recv_ty = kid_tys[0]
         members = recv_ty.members if isinstance(recv_ty, UnionT) else (recv_ty,)
         # A Nil-only receiver has no methods; Nil members of a wider union are
         # tolerated statically (the nil case surfaces as a runtime error).
@@ -145,86 +127,154 @@ def _check(env: TypeEnv, ct: ClassTable, e: Expr, strict: bool) -> TypeExpr:
                     raise
                 params, ret = None, OBJ_T
             if strict and params is not None:
-                for arg_ty, p in zip(arg_tys, params):
+                for arg_ty, p in zip(kid_tys[1:], params):
                     if not subtype(arg_ty, p, ct):
                         raise TypeCheckError(
                             e, f"argument of type {arg_ty} does not fit {p} in {e.method}")
             rets.append(ret)
         return union_of(*rets)
+    if isinstance(e, Var):
+        if e.name not in env:
+            if strict:
+                raise TypeCheckError(e, f"unbound variable {e.name}")
+            return OBJ_T
+        return env[e.name]
+    if isinstance(e, TypedHole):
+        return e.ty
+    if isinstance(e, (Seq, Let)):
+        return kid_tys[1]
+    if isinstance(e, EffectHole):
+        return OBJ_T
+    if isinstance(e, NilLit):
+        return NIL_T
+    if isinstance(e, (TrueLit, FalseLit)):
+        return BOOL_T
+    if isinstance(e, IntLit):
+        return INT_T
+    if isinstance(e, StrLit):
+        return STR_T
+    if isinstance(e, SymLit):
+        return SYM_T
+    if isinstance(e, ClassLit):
+        if strict:
+            ct.require_class(e.name)
+        return ClassOf(e.name)
+    if isinstance(e, RecordLit):
+        return record_of((k, False, t) for (k, _), t in zip(e.pairs, kid_tys))
+    if isinstance(e, If):
+        return union_of(kid_tys[1], kid_tys[2])
+    if isinstance(e, Atom):
+        if strict and not subtype(kid_tys[0], BOOL_T, ct):
+            raise TypeCheckError(e, f"condition has type {kid_tys[0]}, not Bool")
+        return BOOL_T
+    if isinstance(e, (Not, Or)):
+        return BOOL_T
     raise TypeCheckError(e, f"cannot type {type(e).__name__}")
 
 
-def check_cond(env: TypeEnv, ct: ClassTable, c: Cond, *, strict: bool = True) -> TypeExpr:
-    if isinstance(c, Atom):
-        t = typecheck(env, ct, c.expr, strict=strict)
-        if strict and not subtype(t, BOOL_T, ct):
-            raise TypeCheckError(c, f"condition has type {t}, not Bool")
-        return BOOL_T
-    if isinstance(c, Not):
-        check_cond(env, ct, c.inner, strict=strict)
-        return BOOL_T
-    if isinstance(c, Or):
-        check_cond(env, ct, c.left, strict=strict)
-        check_cond(env, ct, c.right, strict=strict)
-        return BOOL_T
-    raise TypeCheckError(c, f"bad condition {c!r}")
-
-
 # ---------------------------------------------------------------------------
-# Leftmost-hole rewriting
+# Filling the leftmost hole
 # ---------------------------------------------------------------------------
 
-def rewrite_leftmost_hole(
-    e: Expr,
-    env: TypeEnv,
-    ct: ClassTable,
-    on_typed: Optional[Callable[[TypeExpr, TypeEnv], list[Expr]]],
-    on_effect: Optional[Callable[[object, TypeEnv], list[Expr]]],
-) -> list[Expr]:
-    """Rewrite the single leftmost hole of e, whichever kind it is.
+class Product(NamedTuple):
+    """One expansion of a candidate: the new term, and how much its size and
+    its number of holes differ from the candidate's."""
 
-    The matching callback produces replacement subterms given the hole
-    annotation and the type environment in scope at the hole; a None callback
-    means holes of that kind are not rewritten here (an empty result).
-    """
-    hole = leftmost_hole(e)
-    if hole is None:
+    expr: Expr
+    dsize: int
+    dholes: int
+
+
+def fill_leftmost(env: TypeEnv, ct: ClassTable, path: HolePath,
+                  fills: Callable[[TypeEnv], list[Expr]], check: bool,
+                  memo: Optional[dict] = None) -> list[Product]:
+    """The products of replacing path's hole by each of fills(scope), where
+    scope is the environment at the hole, in fill order. With check, only
+    the products whose whole-term typecheck would succeed are kept, decided
+    along the path alone: the children off the path are typed once, each
+    fill in the scope, then each ancestor is re-derived from its new child
+    type, once per distinct fill type. memo, shared by the expansions of
+    one search (one class table, constant pool and rule set), keeps each
+    (hole, scope)'s fills with their types and size and hole-count
+    deltas."""
+    try:
+        scope, frames = _path_types(env, ct, path, check)
+    except TypeCheckError:
+        # A term off the path does not type, so no product would.
         return []
-    if isinstance(hole, TypedHole) and on_typed is None:
-        return []
-    if isinstance(hole, EffectHole) and on_effect is None:
-        return []
-
-    def go(node, scope: TypeEnv) -> Optional[list]:
-        if isinstance(node, TypedHole):
-            return on_typed(node.ty, scope)
-        if isinstance(node, EffectHole):
-            return on_effect(node.eff, scope)
-        kids = _children_with_env(node, scope, ct)
-        for i, (child, child_env) in enumerate(kids):
-            replaced = go(child, child_env)
-            if replaced is not None:
-                out = []
-                for r in replaced:
-                    new_kids = [c for c, _ in kids]
-                    new_kids[i] = r
-                    out.append(rebuild(node, new_kids))
-                return out
-        return None
-
-    return go(e, env) or []
+    if memo is None:
+        memo = {}
+    key = (path.hole, tuple(scope.items()))
+    entries = memo.get(key)
+    if entries is None:
+        entries = memo[key] = _fill_entries(scope, ct, fills(scope), check)
+    out = []
+    fits: dict = {}
+    for fill, dsize, dholes, ty in entries:
+        if check:
+            ok = fits.get(ty)
+            if ok is None:
+                ok = fits[ty] = _path_accepts(ct, frames, ty)
+            if not ok:
+                continue
+        out.append(Product(path.plug(fill), dsize, dholes))
+    return out
 
 
-def _children_with_env(node, scope: TypeEnv, ct: ClassTable):
-    """children() paired with the environment each child is checked under."""
-    if isinstance(node, Let):
-        bound_env = scope
-        inner = dict(scope)
-        # The bound expression precedes the body, so if the leftmost hole is
-        # in the body the binding is already hole-free and typeable.
-        inner[node.var] = typecheck(scope, ct, node.bound, strict=False)
-        return [(node.bound, bound_env), (node.body, inner)]
-    return [(c, scope) for c in children(node)]
+def _path_types(env: TypeEnv, ct: ClassTable, path: HolePath, strict: bool):
+    """The scope at the hole and, per frame outermost first, (node, index,
+    scope, child types) with the slot at index empty. A let whose binding
+    holds the hole also leaves its body's slot empty: the body is typed per
+    fill. Without strict only the scope is needed, and a let-bound variable
+    gets its binding's lenient type."""
+    scope = env
+    frames = []
+    for node, i, kids in path.frames:
+        if isinstance(node, Let):
+            if i == 0:
+                frames.append((node, i, scope, [None, None]))
+                continue
+            bound = (_check(scope, ct, node.bound, True) if strict
+                     else typecheck(scope, ct, node.bound, strict=False))
+            frames.append((node, i, scope, [bound, None]))
+            scope = _bind(scope, node.var, bound)
+        elif strict:
+            frames.append((node, i, scope, [
+                None if j == i else _check(scope, ct, k, True) for j, k in enumerate(kids)]))
+    return scope, frames
+
+
+def _path_accepts(ct: ClassTable, frames: list, ty: TypeExpr) -> bool:
+    """Whether every ancestor of the hole types when the hole's subterm has
+    type ty; a let whose binding holds the hole re-checks its body."""
+    try:
+        for node, i, scope, kid_tys in reversed(frames):
+            if isinstance(node, Let) and i == 0:
+                kid_tys = (ty, _check(_bind(scope, node.var, ty), ct, node.body, True))
+            else:
+                kid_tys = list(kid_tys)
+                kid_tys[i] = ty
+            ty = _rule(scope, ct, node, kid_tys, True)
+    except TypeCheckError:
+        return False
+    return True
+
+
+def _fill_entries(scope: TypeEnv, ct: ClassTable, fills: list[Expr], check: bool) -> list:
+    """(fill, size delta, hole-count delta, type) per fill; with check the
+    type is the fill's in the scope, and a fill that does not type is
+    dropped."""
+    out = []
+    for fill in fills:
+        ty = None
+        if check:
+            try:
+                ty = _check(scope, ct, fill, True)
+            except TypeCheckError:
+                continue
+        holes = sum(isinstance(n, (TypedHole, EffectHole)) for n in walk(fill))
+        out.append((fill, expr_size(fill), holes - 1, ty))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +282,21 @@ def _children_with_env(node, scope: TypeEnv, ct: ClassTable):
 # ---------------------------------------------------------------------------
 
 def expand_typed_hole(env: TypeEnv, ct: ClassTable, sigma: ConstantPool,
-                      e: Expr, cfg: RuleConfig = FULL_RULES) -> list[Expr]:
-    """One-step expansions of the leftmost typed hole, in deterministic order:
-    constants, variables, record-field reads, method-call templates, then
-    (for record-typed holes) one literal per subset of optional keys. Each
-    candidate is re-checked whole and dropped on a narrowing contradiction."""
+                      path: Optional[HolePath], cfg: RuleConfig = FULL_RULES,
+                      memo: Optional[dict] = None) -> list[Product]:
+    """One-step expansions of path's hole if it is a typed hole, in
+    deterministic order: constants, variables, record-field reads,
+    method-call templates, then (for record-typed holes) one literal per
+    subset of optional keys. With types on, a product is dropped on a
+    narrowing contradiction anywhere in it (see fill_leftmost)."""
+    if path is None or not isinstance(path.hole, TypedHole):
+        return []
+    target = path.hole.ty
 
     def fits(t1: TypeExpr, t2: TypeExpr) -> bool:
         return subtype(t1, t2, ct) if cfg.types_on else True
 
-    def fills(target: TypeExpr, scope: TypeEnv) -> list[Expr]:
+    def fills(scope: TypeEnv) -> list[Expr]:
         out: list[Expr] = []
         for lit, ty in sigma.entries:
             if fits(ty, target):
@@ -272,14 +327,4 @@ def expand_typed_hole(env: TypeEnv, ct: ClassTable, sigma: ConstantPool,
                     out.append(RecordLit(tuple((k, TypedHole(ty)) for k, ty in pairs)))
         return out
 
-    candidates = rewrite_leftmost_hole(e, env, ct, fills, None)
-    if not cfg.types_on:
-        return candidates
-    kept = []
-    for c in candidates:
-        try:
-            typecheck(env, ct, c)
-        except TypeCheckError:
-            continue
-        kept.append(c)
-    return kept
+    return fill_leftmost(env, ct, path, fills, cfg.types_on, memo)

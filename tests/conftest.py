@@ -3,9 +3,11 @@ import random
 import pytest
 
 from effsynth.core import (
-    BOOL_T, ClassOf, ClassT, ClassTable, INT_T, MethodSig, STR_T,
+    BOOL_T, ClassOf, ClassT, ClassTable, INT_T, MethodSig, STR_T, leftmost_hole,
 )
+from effsynth.effgen import expand_effect_hole
 from effsynth.runtime import SchemaDecl, World, install_core_methods, install_schema
+from effsynth.typegen import FULL_RULES, expand_typed_hole
 
 
 @pytest.fixture
@@ -52,3 +54,13 @@ def lookup_goal_text(n: int) -> str:
         for i in range(n))
     return (f"(constants {consts})\n"
             f"(goal lookup{n}\n  (sig (Str -> Int))\n  (consts {names})\n{specs})\n")
+
+
+def expand_typed(env, ct, sigma, e, cfg=FULL_RULES):
+    """The terms expand_typed_hole makes from e's leftmost hole."""
+    return [p.expr for p in expand_typed_hole(env, ct, sigma, leftmost_hole(e), cfg)]
+
+
+def expand_effect(ct, e, env=None, cfg=FULL_RULES):
+    """The terms expand_effect_hole makes from e's leftmost hole."""
+    return [p.expr for p in expand_effect_hole(ct, leftmost_hole(e), env, cfg)]

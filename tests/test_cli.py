@@ -14,7 +14,7 @@ GOALS = Path("goals")
 REPORT_KEYS = sorted([
     "goal", "mode", "precision", "success", "candidates_expanded",
     "candidates_evaluated", "per_spec", "wall_ms", "program_size", "paths",
-    "tuple_count", "merge_orderings_tried", "failed_stage",
+    "tuple_count", "merge_orderings_tried", "failed_stage", "pops", "peak_queue",
 ])
 
 PER_SPEC_KEYS = sorted([
@@ -158,13 +158,19 @@ class TestBench:
         code, _, err = run(capsys, "bench", str(bench_dir), "--modes", "warp")
         assert code == 2
 
-    @pytest.mark.parametrize("flag", ["--max-size", "--budget"])
+    @pytest.mark.parametrize("flag", ["--max-size", "--budget", "--timeout"])
     def test_nonpositive_bounds_exit_two(self, capsys, flag):
+        values, message = {
+            "--max-size": (["0"], "is not >= 1"),
+            "--budget": (["0"], "is not >= 1"),
+            "--timeout": (["0", "-1", "nan"], "is not > 0"),
+        }[flag]
         for argv in (["synth", str(GOALS / "s1_lvar.goal")], ["bench", str(GOALS)]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv + [flag, "0"])
-            assert exc.value.code == 2
-            assert "is not >= 1" in capsys.readouterr().err
+            for value in values:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv + [flag, value])
+                assert exc.value.code == 2
+                assert message in capsys.readouterr().err
 
     def test_bench_empty_dir_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "bench", str(tmp_path))

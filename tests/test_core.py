@@ -8,8 +8,8 @@ from effsynth.core import (
     DefinitionError, Effect, EffectHole, EffectPair, IntLit, INT_T, Let,
     MethodSig, NIL_T, NilLit, OBJ_T, PURE, RecordLit, RecordT, Region,
     SELF_STAR, STR_T, SelfRegion, Seq, Star, StrLit, TypedHole, UnionT, Var,
-    canon_effect, eff_subsumes, eff_union, expr_size, is_complete, record_of,
-    resolve_self, subtype, union_of,
+    canon_effect, eff_subsumes, eff_union, expr_size, is_complete,
+    leftmost_hole, record_of, resolve_self, subtype, union_of, walk,
 )
 from conftest import random_hierarchy
 
@@ -268,6 +268,19 @@ class TestExprHelpers:
     @given(_exprs())
     def test_complete_matches_reference(self, e):
         assert is_complete(e) == _naive_complete(e)
+
+    @given(_exprs())
+    def test_leftmost_hole_path(self, e):
+        path = leftmost_hole(e)
+        assert (path is None) == is_complete(e)
+        if path is not None:
+            holes = [n for n in walk(e) if isinstance(n, (TypedHole, EffectHole))]
+            assert path.hole is holes[0]
+            assert path.plug(path.hole) == e
+            filled = path.plug(NilLit())
+            assert [n for n in walk(filled)
+                    if isinstance(n, (TypedHole, EffectHole))] == holes[1:]
+            assert expr_size(filled) == expr_size(e)
 
 
 # ---------------------------------------------------------------------------

@@ -186,9 +186,11 @@ class TestCountPaths:
         assert sorted(d) == sorted([
             "goal", "mode", "precision", "success", "candidates_expanded",
             "candidates_evaluated", "per_spec", "wall_ms", "program_size",
-            "paths", "tuple_count", "merge_orderings_tried", "failed_stage",
+            "paths", "tuple_count", "merge_orderings_tried", "pops", "peak_queue",
+            "failed_stage",
         ])
         assert d["failed_stage"] is None
+        assert d["pops"] >= 1 and d["peak_queue"] >= 1
         assert sorted(d["per_spec"][0]) == sorted([
             "spec", "reused", "candidates_expanded", "candidates_evaluated",
             "wall_ms",

@@ -4,8 +4,9 @@ from effsynth.core import (
     Call, ClassLit, ClassOf, ClassStar, ClassT, Effect, EffectHole,
     EffectPair, Let, NilLit, PURE, PURE_PAIR, RecordLit, Region, Seq, Star,
     StrLit, STR_T, TypedHole, Var, canon_effect, eff_subsumes, expr_size,
-    is_complete, resolve_self,
+    is_complete, leftmost_hole, resolve_self,
 )
+from conftest import expand_effect
 from effsynth.effgen import (
     erase_effect, erase_table, expand_effect_hole, wrap_effect_hole,
     write_specificity,
@@ -56,12 +57,12 @@ class TestExpandEffectHole:
 
     def test_nil_always_first(self, blog):
         ct, _ = blog
-        out = expand_effect_hole(ct, self.hole(Effect((Region("Post", "title"),))))
+        out = expand_effect(ct, self.hole(Effect((Region("Post", "title"),))))
         assert isinstance(out[0].first, NilLit)
 
     def test_title_write_matches_title_setter(self, blog):
         ct, _ = blog
-        out = expand_effect_hole(ct, self.hole(Effect((Region("Post", "title"),))))
+        out = expand_effect(ct, self.hole(Effect((Region("Post", "title"),))))
         calls = [c.first for c in out[1:]]
         assert calls, "expected at least one matching writer"
         # most specific first: the title= setter beats the class-star create
@@ -73,7 +74,7 @@ class TestExpandEffectHole:
     def test_every_match_subsumes_hole(self, blog):
         ct, _ = blog
         eff = Effect((Region("Post", "title"),))
-        out = expand_effect_hole(ct, self.hole(eff))
+        out = expand_effect(ct, self.hole(eff))
         for cand in out[1:]:
             call = cand.first
             call = call.second if isinstance(call, Seq) else call
@@ -83,20 +84,20 @@ class TestExpandEffectHole:
 
     def test_class_star_hole_matched_by_any_post_writer(self, blog):
         ct, _ = blog
-        out = expand_effect_hole(ct, self.hole(Effect((ClassStar("Post"),))))
+        out = expand_effect(ct, self.hole(Effect((ClassStar("Post"),))))
         methods = {c.first.method for c in out[1:] if isinstance(c.first, Call)}
         assert methods == {"create"}
 
     def test_unmatched_hole_leaves_only_nil(self, blog):
         ct, _ = blog
-        out = expand_effect_hole(ct, self.hole(Effect((Region("User", "name"),))))
+        out = expand_effect(ct, self.hole(Effect((Region("User", "name"),))))
         # the name= writer matches; ask for a region nobody writes instead
-        out = expand_effect_hole(ct, self.hole(Effect((ClassStar("Obj"),))))
+        out = expand_effect(ct, self.hole(Effect((ClassStar("Obj"),))))
         assert len(out) == 1 and isinstance(out[0].first, NilLit)
 
     def test_pure_hole_expands_to_nil_only(self, blog):
         ct, _ = blog
-        out = expand_effect_hole(ct, self.hole(PURE))
+        out = expand_effect(ct, self.hole(PURE))
         assert len(out) == 1 and isinstance(out[0].first, NilLit)
 
     def test_reading_writer_gets_preceding_effect_hole(self, blog):
@@ -111,11 +112,16 @@ class TestExpandEffectHole:
                        write=Effect((ClassStar("Post"),))),
             native=None,
         ))
-        out = expand_effect_hole(ct, self.hole(Effect((Region("Post", "title"),))))
+        out = expand_effect(ct, self.hole(Effect((Region("Post", "title"),))))
         syncs = [c.first for c in out
                  if isinstance(c.first, Seq) and c.first.second.method == "sync!"]
         assert len(syncs) == 1
         assert syncs[0].first == EffectHole(Effect((Region("User", "name"),)))
+        # the product carries one more call and one more hole than the term
+        products = expand_effect_hole(
+            ct, leftmost_hole(self.hole(Effect((Region("Post", "title"),)))))
+        [sync] = [p for p in products if p.expr.first == syncs[0]]
+        assert (sync.dsize, sync.dholes) == (1, 1)
 
     def test_typecheck_preserved(self, blog):
         ct, _ = blog
@@ -124,19 +130,19 @@ class TestExpandEffectHole:
                    Seq(EffectHole(Effect((Region("Post", "title"),))),
                        TypedHole(ClassT("Post"))))
         before = typecheck(env, ct, base)
-        for cand in expand_effect_hole(ct, base, env):
+        for cand in expand_effect(ct, base, env):
             assert typecheck(env, ct, cand) == before
 
     def test_typed_hole_first_means_no_effect_expansion(self, blog):
         ct, _ = blog
         e = Seq(TypedHole(STR_T), EffectHole(Effect((Region("Post", "title"),))))
-        assert expand_effect_hole(ct, e) == []
+        assert expand_effect(ct, e) == []
 
     def test_effects_off_matches_every_impure_writer(self, blog):
         ct, _ = blog
         cfg = RuleConfig(effects_on=False)
         eff = Effect((Region("Post", "title"),))
-        out = expand_effect_hole(ct, self.hole(eff), cfg=cfg)
+        out = expand_effect(ct, self.hole(eff), cfg=cfg)
         methods = set()
         for c in out[1:]:
             call = c.first.second if isinstance(c.first, Seq) else c.first
@@ -195,7 +201,7 @@ class TestClassModeMatching:
         coarse = erase_table(ct, "class")
         hole = Seq(EffectHole(Effect((ClassStar("Post"),))),
                    TypedHole(ClassT("Post")))
-        out = expand_effect_hole(coarse, hole)
+        out = expand_effect(coarse, hole)
         methods = set()
         for c in out[1:]:
             call = c.first.second if isinstance(c.first, Seq) else c.first

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from effsynth.core import (
-    BOOL_T, Call, ClassLit, ClassOf, ClassT, ConstantPool, FalseLit, Let,
-    NilLit, RecordLit, Seq, StrLit, STR_T, TrueLit, Var, expr_size, walk,
+    BOOL_T, Call, ClassLit, ClassOf, ClassT, ConstantPool, EffectHole,
+    FalseLit, IntLit, Let, NilLit, PURE, RecordLit, Seq, StrLit, STR_T,
+    TrueLit, TypedHole, Var, alpha_key, walk,
 )
 from effsynth.interp import SetupStmt, Spec, run_spec
 from effsynth.search import (
@@ -40,6 +42,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(max_size=0)
 
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    def test_rejects_nonpositive_or_nan_timeout(self, timeout):
+        with pytest.raises(ValueError):
+            SearchConfig(timeout_s=timeout)
+
     def test_wrap_disabled_only_for_none(self):
         assert SearchConfig(mode="none").wrap_enabled is False
         for mode in ("full", "types_only", "effects_only"):
@@ -74,6 +81,11 @@ class TestDedupKey:
         e = Let("t", writing, StrLit("done"))
         assert dedup_key(e, ct) != dedup_key(StrLit("done"), ct)
 
+    def test_plain_term_is_its_own_key(self, blog):
+        ct, _ = blog
+        e = call(call(ClassLit("Post"), "where", RecordLit(())), "first")
+        assert dedup_key(e, ct) is e
+
     def test_nested_wrap_residue_collapses(self, blog):
         ct, _ = blog
         base = call(call(ClassLit("Post"), "where", RecordLit(())), "first")
@@ -81,6 +93,61 @@ class TestDedupKey:
         twice = Let("t1", once, Seq(NilLit(), Var("t1")))
         assert dedup_key(once, ct) == dedup_key(base, ct)
         assert dedup_key(twice, ct) == dedup_key(base, ct)
+
+
+_KEY_LEAVES = st.sampled_from([
+    NilLit(), TrueLit(), IntLit(0), IntLit(1), StrLit(""), StrLit("a"),
+    Var("x"), Var("t0"), Var("t1"), TypedHole(STR_T), EffectHole(PURE),
+    ClassLit("Post"),
+])
+
+
+def _key_terms(depth=3):
+    if depth == 0:
+        return _KEY_LEAVES
+    sub = _key_terms(depth - 1)
+    return st.one_of(
+        _KEY_LEAVES,
+        st.builds(Seq, sub, sub),
+        st.builds(Let, st.sampled_from(["t0", "t1", "x"]), sub, sub),
+        st.builds(lambda r, m, a: Call(r, m, a), sub,
+                  st.sampled_from(["first", "title", "create"]),
+                  st.lists(sub, max_size=1).map(tuple)),
+        st.builds(lambda v: RecordLit((("slug", v),)), sub),
+    )
+
+
+def _variant(draw, a):
+    """A term likely to share a's key: a renamed, wrapped in erasable
+    shapes, or a itself; else a fresh term."""
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return a
+    if kind == 1:
+        return Seq(NilLit(), a)
+    if kind == 2:
+        return Let("t9", a, Var("t9"))
+    if kind == 3:
+        return Let("t9", draw(_KEY_LEAVES), a)
+    if kind == 4:
+        return Let("t9", a, Seq(NilLit(), Var("t9")))
+    return draw(_key_terms())
+
+
+class TestDedupKeyProperty:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_same_equivalence_as_normalize_then_alpha_key(self, blog, data):
+        # the old composition is the oracle
+        ct, _ = blog
+        a = data.draw(_key_terms())
+        b = _variant(data.draw, a)
+
+        def old(e):
+            return alpha_key(normalize_for_key(e, ct))
+
+        assert (dedup_key(a, ct) == dedup_key(b, ct)) == (old(a) == old(b))
 
 
 class TestGenerate:
@@ -207,10 +274,11 @@ class TestWorkItemOrdering:
     def test_key_prefers_passed_then_size_then_seq(self):
         from effsynth.search import WorkItem
 
-        a = WorkItem(passed=2, cand=Var("a"), seq=9, size=5)
-        b = WorkItem(passed=1, cand=Var("b"), seq=1, size=0)
-        c = WorkItem(passed=1, cand=Var("c"), seq=2, size=0)
-        d = WorkItem(passed=1, cand=Var("d"), seq=0, size=3)
+        # the carried hole count plays no part in the order
+        a = WorkItem(passed=2, cand=Var("a"), seq=9, size=5, holes=3)
+        b = WorkItem(passed=1, cand=Var("b"), seq=1, size=0, holes=2)
+        c = WorkItem(passed=1, cand=Var("c"), seq=2, size=0, holes=1)
+        d = WorkItem(passed=1, cand=Var("d"), seq=0, size=3, holes=0)
         assert sorted([d, c, b, a], key=lambda w: w.key()) == [a, b, c, d]
 
 
