@@ -9,7 +9,7 @@ is re-run against every spec as a last gate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .core import (
@@ -81,32 +81,7 @@ class RunReport:
     failed_stage: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "goal": self.goal,
-            "mode": self.mode,
-            "precision": self.precision,
-            "success": self.success,
-            "candidates_expanded": self.candidates_expanded,
-            "candidates_evaluated": self.candidates_evaluated,
-            "per_spec": [
-                {
-                    "spec": p.spec,
-                    "reused": p.reused,
-                    "candidates_expanded": p.candidates_expanded,
-                    "candidates_evaluated": p.candidates_evaluated,
-                    "wall_ms": p.wall_ms,
-                }
-                for p in self.per_spec
-            ],
-            "wall_ms": self.wall_ms,
-            "program_size": self.program_size,
-            "paths": self.paths,
-            "tuple_count": self.tuple_count,
-            "merge_orderings_tried": self.merge_orderings_tried,
-            "pops": self.pops,
-            "peak_queue": self.peak_queue,
-            "failed_stage": self.failed_stage,
-        }
+        return asdict(self)
 
 
 def synthesize(goal: Goal, ct: ClassTable, world: World,
@@ -144,7 +119,7 @@ def synthesize(goal: Goal, ct: ClassTable, world: World,
         t_spec = time.monotonic()
         evals_before = session.stats.evaluated
         expanded_before = session.stats.expanded
-        reused = False
+        reused = found = False
         for k, t in enumerate(tuples):
             if session.run_body(t.expr, spec).ok:
                 tuples[k] = MergeTuple(t.expr, t.cond, t.specs | {idx})
@@ -156,22 +131,18 @@ def synthesize(goal: Goal, ct: ClassTable, world: World,
                               spec, world, cfg, stats, deadline=deadline,
                               start=session.start(spec))
             session.absorb(stats)
-            if not result.found:
-                per_spec.append(PerSpecReport(
-                    spec.title, False,
-                    session.stats.expanded - expanded_before,
-                    session.stats.evaluated - evals_before,
-                    (time.monotonic() - t_spec) * 1000.0,
-                ))
-                return None, report(False, stage=f"spec:{spec.title}")
-            tuples.append(make_merge_tuple(session, result.expr, TRUE_COND,
-                                           frozenset({idx})))
+            found = result.found
+            if found:
+                tuples.append(make_merge_tuple(session, result.expr, TRUE_COND,
+                                               frozenset({idx})))
         per_spec.append(PerSpecReport(
             spec.title, reused,
             session.stats.expanded - expanded_before,
             session.stats.evaluated - evals_before,
             (time.monotonic() - t_spec) * 1000.0,
         ))
+        if not (reused or found):
+            return None, report(False, stage=f"spec:{spec.title}")
 
     body = merge_program(tuples, session)
     if body is None:

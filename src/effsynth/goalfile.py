@@ -27,16 +27,16 @@ from dataclasses import dataclass
 
 from .core import (
     Atom, BOOL_T, Call, ClassLit, ClassOf, ClassStar, ClassT, ClassTable,
-    Cond, ConstantPool, DefinitionError, Effect, EffectPair, Expr, FalseLit,
-    If, IntLit, Let, MethodSig, NilLit, Not, Or, PURE, RecordLit, RecordT,
-    Region, STAR, SELF_STAR, SelfRegion, SelfStar, Seq, Star, StrLit, SymLit,
-    TrueLit, TypeExpr, UnionT, Var, canon_effect, record_of, subtype,
-    union_of,
+    Cond, ConstantPool, DefinitionError, Effect, EffectHole, EffectPair, Expr,
+    FalseLit, If, IntLit, Let, MethodSig, NilLit, Not, Or, PURE, RecordLit,
+    RecordT, Region, STAR, SELF_STAR, SelfRegion, SelfStar, Seq, Star, StrLit,
+    SymLit, TrueLit, TypedHole, TypeExpr, UnionT, Var, canon_effect,
+    record_of, subtype, union_of,
 )
 from .driver import Goal, Program
 from .interp import RESULT_VAR, SetupStmt, Spec
 from .runtime import SchemaDecl, World, install_core_methods, install_schema
-from .sexp import ParseError, SExp, SInt, SList, SStr, Sym, parse_sexps
+from .sexp import ParseError, SExp, SInt, SList, SStr, Sym, parse_sexps, write_sexp
 from .typegen import TypeCheckError, typecheck
 
 
@@ -513,11 +513,6 @@ def print_effect(e: Effect) -> str:
     return "(u " + " ".join(names) + ")"
 
 
-def _quote(s: str) -> str:
-    out = s.replace("\\", "\\\\").replace('"', '\\"')
-    return '"' + out.replace("\n", "\\n").replace("\t", "\\t") + '"'
-
-
 def print_expr(e: Expr) -> str:
     if isinstance(e, NilLit):
         return "nil"
@@ -528,7 +523,7 @@ def print_expr(e: Expr) -> str:
     if isinstance(e, IntLit):
         return str(e.value)
     if isinstance(e, StrLit):
-        return _quote(e.value)
+        return write_sexp(SStr(e.value))
     if isinstance(e, SymLit):
         return f"(sym {e.name})"
     if isinstance(e, ClassLit):
@@ -548,8 +543,6 @@ def print_expr(e: Expr) -> str:
     if isinstance(e, RecordLit):
         pairs = " ".join(f"({k} {print_expr(v)})" for k, v in e.pairs)
         return f"(record {pairs})" if pairs else "(record)"
-    from .core import EffectHole, TypedHole
-
     if isinstance(e, TypedHole):
         return f"(hole {print_type(e.ty)})"
     if isinstance(e, EffectHole):
@@ -600,7 +593,7 @@ def print_goal_file(gf: GoalFile) -> str:
         parts.append(f"(read {print_effect(sig.eff.read)})")
         parts.append(f"(write {print_effect(sig.eff.write)})")
         if sig.native is not None:
-            parts.append(f"(native {_quote(sig.native)})")
+            parts.append(f"(native {write_sexp(SStr(sig.native))})")
         lines.append(" ".join(parts) + ")")
     if gf.constants.entries:
         entries = " ".join(f"({print_expr(lit)} {print_type(ty)})"
@@ -613,7 +606,7 @@ def print_goal_file(gf: GoalFile) -> str:
     lines.append(f"  (sig ({' '.join(sig_parts)}))")
     lines.append(f"  (consts{' ' + consts if consts else ''})")
     for spec in goal.specs:
-        lines.append(f"  (spec {_quote(spec.title)}")
+        lines.append(f"  (spec {write_sexp(SStr(spec.title))}")
         lines.append("    (setup")
         for stmt in spec.setup:
             if stmt.var is not None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .core import (
@@ -26,9 +26,9 @@ from .interp import (
     AssertErr, Evaluator, Ok, Spec, SpecResult, SpecStart, run_spec, spec_start,
 )
 from .runtime import RuntimeError_, TRUE_V, World
-from .sat import FNot, FOr, FVar, Formula, implies_valid
+from .sat import implies_valid
 from .search import SearchConfig, SearchStats, search
-from .typegen import RuleConfig, TypeEnv
+from .typegen import TypeEnv
 
 
 # ---------------------------------------------------------------------------
@@ -77,24 +77,6 @@ def cond_as_expr(c: Cond) -> Expr:
     if isinstance(c, Not):
         return Call(cond_as_expr(c.inner), "!", ())
     return If(c.left, TRUE, cond_as_expr(c.right))
-
-
-def implies(b1: Cond, b2: Cond, atom_table: dict) -> bool:
-    """Heuristic propositional implication: every distinct atom (by canonical
-    syntactic form) becomes one boolean variable; the encoding is checked for
-    validity. Semantics of the atoms is deliberately not modeled."""
-    return implies_valid(_encode(b1, atom_table), _encode(b2, atom_table))
-
-
-def _encode(c: Cond, table: dict) -> Formula:
-    if isinstance(c, Atom):
-        key = alpha_key(c.expr)
-        if key not in table:
-            table[key] = len(table) + 1
-        return FVar(table[key])
-    if isinstance(c, Not):
-        return FNot(_encode(c.inner, table))
-    return FOr(_encode(c.left, table), _encode(c.right, table))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +134,6 @@ class MergeSession:
     world: World
     cfg: SearchConfig
     specs: tuple[Spec, ...]
-    atom_table: dict = field(default_factory=dict)
     cond_cache: list[Cond] = field(default_factory=list)
     cond_memo: dict = field(default_factory=dict)
     stats: SearchStats = field(default_factory=SearchStats)
@@ -176,15 +157,14 @@ class MergeSession:
     def param_env(self) -> TypeEnv:
         return {f"arg{i}": t for i, t in enumerate(self.goal_params)}
 
-    def count_eval(self, n: int = 1) -> None:
-        self.stats.evaluated += n
+    def count_eval(self) -> None:
+        self.stats.evaluated += 1
 
     def absorb(self, stats: SearchStats) -> None:
         self.stats.expanded += stats.expanded
         self.stats.evaluated += stats.evaluated
         self.stats.pops += stats.pops
         self.stats.peak_queue = max(self.stats.peak_queue, stats.peak_queue)
-        self.stats.wall_ms += stats.wall_ms
 
     def run_body(self, body: Expr, spec: Spec) -> SpecResult:
         self.count_eval()
@@ -259,11 +239,7 @@ def synth_condition(session: MergeSession, true_ids: frozenset[int],
     if session.expired():
         return None
 
-    rules = RuleConfig(
-        types_on=session.cfg.mode in ("full", "types_only"),
-        effects_on=False,
-        pure_apps_only=True,
-    )
+    rules = replace(session.cfg.rules(), effects_on=False, pure_apps_only=True)
     stats = SearchStats()
     result = search(
         session.param_env(), BOOL_T, session.ct, session.sigma, session.cfg,
@@ -327,8 +303,8 @@ def _rewrite_pair(t1: MergeTuple, t2: MergeTuple, session: MergeSession,
                   tried_resynth: set) -> Optional[tuple]:
     union = t1.specs | t2.specs
     e_eq = alpha_key(t1.expr) == alpha_key(t2.expr)
-    imp12 = implies(t1.cond, t2.cond, session.atom_table)
-    imp21 = implies(t2.cond, t1.cond, session.atom_table)
+    imp12 = implies_valid(t1.cond, t2.cond)
+    imp21 = implies_valid(t2.cond, t1.cond)
 
     if e_eq and imp12:
         return (MergeTuple(t1.expr, t1.cond, union),)

@@ -1,138 +1,46 @@
-"""Propositional validity checking for branch-condition implications.
+"""Propositional validity of branch-condition implications.
 
-Formulas are trees over integer variables. Small formulas are decided by
-truth-table enumeration; past a variable-count threshold the check converts
-to CNF (Tseitin) and runs a DPLL with unit propagation.
+Every distinct atom of the two conditions, by the alpha key of its
+expression, is one boolean variable; what an atom means is deliberately not
+modeled, so even the literal `true` is just another variable. Validity is
+decided by a truth table over those variables: merge conditions carry only
+a handful of atoms.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Union
+
+from .core import Atom, Cond, Not, alpha_key
 
 
-@dataclass(frozen=True)
-class FVar:
-    var: int
+def implies_valid(premise: Cond, conclusion: Cond) -> bool:
+    """Validity of premise -> conclusion: no assignment of the atoms makes
+    the premise true and the conclusion false."""
+    index: dict = {}  # alpha key -> variable
+    var: dict[int, int] = {}  # id(atom) -> variable, for the evaluation
+    for c in (premise, conclusion):
+        for a in _atoms(c):
+            var[id(a)] = index.setdefault(alpha_key(a.expr), len(index))
+    for bits in itertools.product((False, True), repeat=len(index)):
+        if _holds(premise, var, bits) and not _holds(conclusion, var, bits):
+            return False
+    return True
 
 
-@dataclass(frozen=True)
-class FNot:
-    inner: "Formula"
+def _atoms(c: Cond):
+    if isinstance(c, Atom):
+        yield c
+    elif isinstance(c, Not):
+        yield from _atoms(c.inner)
+    else:
+        yield from _atoms(c.left)
+        yield from _atoms(c.right)
 
 
-@dataclass(frozen=True)
-class FOr:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class FAnd:
-    left: "Formula"
-    right: "Formula"
-
-
-Formula = Union[FVar, FNot, FOr, FAnd]
-
-TRUTH_TABLE_LIMIT = 20
-
-
-def fvars(f: Formula) -> set[int]:
-    if isinstance(f, FVar):
-        return {f.var}
-    if isinstance(f, FNot):
-        return fvars(f.inner)
-    return fvars(f.left) | fvars(f.right)
-
-
-def feval(f: Formula, assignment: dict[int, bool]) -> bool:
-    if isinstance(f, FVar):
-        return assignment[f.var]
-    if isinstance(f, FNot):
-        return not feval(f.inner, assignment)
-    if isinstance(f, FOr):
-        return feval(f.left, assignment) or feval(f.right, assignment)
-    return feval(f.left, assignment) and feval(f.right, assignment)
-
-
-def is_satisfiable(f: Formula) -> bool:
-    names = sorted(fvars(f))
-    if len(names) <= TRUTH_TABLE_LIMIT:
-        for bits in itertools.product((False, True), repeat=len(names)):
-            if feval(f, dict(zip(names, bits))):
-                return True
-        return False
-    return dpll(to_cnf(f))
-
-
-def implies_valid(premise: Formula, conclusion: Formula) -> bool:
-    """Validity of premise -> conclusion, i.e. premise & ~conclusion is unsat."""
-    return not is_satisfiable(FAnd(premise, FNot(conclusion)))
-
-
-# ---------------------------------------------------------------------------
-# CNF + DPLL
-# ---------------------------------------------------------------------------
-
-def to_cnf(f: Formula) -> list[list[int]]:
-    """Tseitin transformation; literals are +/-variable ids, fresh ids are
-    allocated above the formula's own variables."""
-    fresh = itertools.count(max(fvars(f), default=0) + 1)
-    clauses: list[list[int]] = []
-
-    def enc(g: Formula) -> int:
-        if isinstance(g, FVar):
-            return g.var
-        if isinstance(g, FNot):
-            return -enc(g.inner)
-        a, b = enc(g.left), enc(g.right)
-        out = next(fresh)
-        if isinstance(g, FOr):
-            clauses.append([-out, a, b])
-            clauses.append([out, -a])
-            clauses.append([out, -b])
-        else:
-            clauses.append([out, -a, -b])
-            clauses.append([-out, a])
-            clauses.append([-out, b])
-        return out
-
-    clauses.append([enc(f)])
-    return clauses
-
-
-def dpll(clauses: list[list[int]]) -> bool:
-    clauses = [list(c) for c in clauses]
-    assignment: dict[int, bool] = {}
-
-    def simplify(cs: list[list[int]], lit: int) -> list[list[int]] | None:
-        out = []
-        for c in cs:
-            if lit in c:
-                continue
-            reduced = [x for x in c if x != -lit]
-            if not reduced:
-                return None
-            out.append(reduced)
-        return out
-
-    def go(cs: list[list[int]]) -> bool:
-        while True:
-            unit = next((c[0] for c in cs if len(c) == 1), None)
-            if unit is None:
-                break
-            cs = simplify(cs, unit)
-            if cs is None:
-                return False
-        if not cs:
-            return True
-        var = abs(cs[0][0])
-        for lit in (var, -var):
-            reduced = simplify(cs, lit)
-            if reduced is not None and go(reduced):
-                return True
-        return False
-
-    return go(clauses)
+def _holds(c: Cond, var: dict[int, int], bits: tuple[bool, ...]) -> bool:
+    if isinstance(c, Atom):
+        return bits[var[id(c)]]
+    if isinstance(c, Not):
+        return not _holds(c.inner, var, bits)
+    return _holds(c.left, var, bits) or _holds(c.right, var, bits)

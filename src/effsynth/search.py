@@ -80,7 +80,6 @@ class SearchStats:
     evaluated: int = 0
     pops: int = 0
     peak_queue: int = 0
-    wall_ms: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -180,15 +179,13 @@ def search(
     spec solving and branch-condition synthesis share it. The deadline is an
     absolute time.monotonic() value checked between pops; callers that own a
     whole synthesis session pass one so the budget spans every search."""
-    t0 = time.monotonic()
     if deadline is None and cfg.timeout_s is not None:
-        deadline = t0 + cfg.timeout_s
+        deadline = time.monotonic() + cfg.timeout_s
     stats = stats if stats is not None else SearchStats()
     rules = rules if rules is not None else cfg.rules()
     wrap_on = wrap and cfg.wrap_enabled
     found = _run(env, ret_ty, ct, sigma, cfg, rules, evaluate, wrap_on,
                  deadline, stats)
-    stats.wall_ms += (time.monotonic() - t0) * 1000.0
     return GenerateResult(found, stats)
 
 

@@ -7,15 +7,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from effsynth.core import (
     Atom, BOOL_T, Call, ClassLit, ClassOf, ClassT, ConstantPool, FalseLit,
-    If, IntLit, NIL, NilLit, Not, Or, RecordLit, Seq, StrLit, STR_T,
+    If, IntLit, Let, NIL, NilLit, Not, Or, RecordLit, Seq, StrLit, STR_T,
     TRUE_COND, TrueLit, Var, expr_size, walk,
 )
 from effsynth.interp import SetupStmt, Spec
 from effsynth.merge import (
     MergeSession, MergeTerm, MergeTuple, _cond_holds, canon_cond, canon_not,
-    cond_as_expr, cond_eq, implies, is_tautology, make_merge_tuple,
+    cond_as_expr, cond_eq, is_tautology, make_merge_tuple,
     merge_program, rewrite_merge, synth_condition,
 )
+from effsynth.sat import implies_valid
 from effsynth.search import SearchConfig
 
 
@@ -62,34 +63,46 @@ class TestCondUtils:
 
 class TestImplies:
     def test_reflexive(self):
-        table = {}
         b = atom("b")
-        assert implies(b, b, table)
+        assert implies_valid(b, b)
 
     def test_weakening_into_disjunction(self):
-        table = {}
         b, c = atom("b"), atom("c")
-        assert implies(b, Or(b, c), table)
-        assert not implies(Or(b, c), b, table)
+        assert implies_valid(b, Or(b, c))
+        assert not implies_valid(Or(b, c), b)
 
     def test_distinct_atoms_unrelated(self):
         # the true literal is just another atom variable, never shortcut
-        table = {}
-        assert not implies(TRUE_COND, atom("b"), table)
+        assert not implies_valid(TRUE_COND, atom("b"))
 
     def test_negation(self):
-        table = {}
         b = atom("b")
-        assert implies(b, Not(Not(b)), table)
-        assert not implies(b, Not(b), table)
+        assert implies_valid(b, Not(Not(b)))
+        assert not implies_valid(b, Not(b))
+
+    def test_simple_validities(self):
+        a, b = atom("a"), atom("b")
+        assert implies_valid(a, a)
+        assert implies_valid(a, Or(a, b))
+        assert not implies_valid(a, b)
+        assert not implies_valid(Or(a, b), a)
+        # a and b, written as not (not a or not b)
+        assert implies_valid(Not(Or(Not(a), Not(b))), a)
+
+    def test_atoms_equal_up_to_let_names_are_one_variable(self):
+        x = eq(Var("x"), IntLit(1))
+        c1 = Atom(Let("a", x, Var("a")))
+        c2 = Atom(Let("b", x, Var("b")))
+        assert implies_valid(c1, c2)
+        assert not implies_valid(c1, Not(c2))
+        assert not implies_valid(c1, Atom(Let("a", x, x)))
 
     def test_atom_identity_is_syntactic(self):
-        table = {}
         c1 = Atom(eq(Var("x"), IntLit(1)))
         c2 = Atom(eq(Var("x"), IntLit(1)))
-        assert implies(c1, c2, table)
+        assert implies_valid(c1, c2)
         c3 = Atom(eq(Var("x"), IntLit(2)))
-        assert not implies(c1, c3, table)
+        assert not implies_valid(c1, c3)
 
     def test_matches_truth_table_oracle(self):
         rng = random.Random(9)
@@ -115,7 +128,7 @@ class TestImplies:
                 (not truth(b1, dict(zip("abcd", bits)))) or truth(b2, dict(zip("abcd", bits)))
                 for bits in itertools.product((False, True), repeat=4)
             )
-            assert implies(b1, b2, {}) == expected
+            assert implies_valid(b1, b2) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,45 @@
+"""The benchmark's span tracer still fits the library.
+
+`benchmark/spans.py` patches module attributes by name at the layer
+boundaries. A renamed or bypassed attribute would drop a layer from the
+traced benchmark run without failing anything else, so this test installs
+the tracer over the library, synthesizes one bundled goal that reaches
+merging, and checks that the hooks fired and agree with the run report.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmark"))
+
+from spans import Tracer, install  # noqa: E402
+
+from effsynth.driver import synthesize  # noqa: E402
+from effsynth.goalfile import load_goal_file  # noqa: E402
+from effsynth.search import SearchConfig  # noqa: E402
+
+MODULES = ("driver", "search", "typegen", "effgen", "interp", "runtime", "merge", "sat")
+
+
+def test_spans_cover_the_layers_and_agree_with_the_report():
+    lib = SimpleNamespace(**{m: importlib.import_module(f"effsynth.{m}") for m in MODULES})
+    gf, ct, world = load_goal_file(str(ROOT / "goals" / "s5_branching.goal"))
+    tracer = Tracer()
+    try:
+        install(tracer, lib)
+        patched = list(tracer._patches)
+        program, report = synthesize(gf.goal, ct, world, SearchConfig())
+    finally:
+        tracer.restore()
+
+    assert patched and all(callable(fn) for _, _, fn in patched)
+    assert program is not None
+    calls = tracer.summary()["calls"]
+    assert calls["sat.implies"] > 0
+    assert calls["merge.cond_eval"] > 0
+    evaluations = (calls["interp.run_spec"] + calls["merge.battery"]
+                   + tracer.counts["merge.guess_evals"])
+    assert evaluations == report.candidates_evaluated
