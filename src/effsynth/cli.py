@@ -92,12 +92,19 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _arity_mismatch(program: Program, gf) -> bool:
+    """Report a program whose parameter count is not the goal's arity."""
+    if len(program.params) == gf.goal.arity:
+        return False
+    print(f"error: program takes {len(program.params)} parameters, "
+          f"goal expects {gf.goal.arity}", file=sys.stderr)
+    return True
+
+
 def cmd_eval(args) -> int:
     gf, ct, world = _load(args.file)
     program = _load_program(args.program, gf)
-    if len(program.params) != gf.goal.arity:
-        print(f"error: program takes {len(program.params)} parameters, "
-              f"goal expects {gf.goal.arity}", file=sys.stderr)
+    if _arity_mismatch(program, gf):
         return 2
     all_ok = True
     for spec in gf.goal.specs:
@@ -119,7 +126,9 @@ def cmd_eval(args) -> int:
 def cmd_check(args) -> int:
     gf, ct, world = _load(args.file)
     program = _load_program(args.program, gf)
-    env = {name: ty for name, ty in zip(program.params, gf.goal.param_types)}
+    if _arity_mismatch(program, gf):
+        return 2
+    env = dict(zip(program.params, gf.goal.param_types))
     try:
         got = typecheck(env, ct, program.body)
     except TypeCheckError as exc:

@@ -8,7 +8,7 @@ ordered by subsumption, with Pure (empty) at the bottom and * at the top.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 

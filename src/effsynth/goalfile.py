@@ -26,12 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    Atom, BOOL_T, Call, ClassLit, ClassOf, ClassStar, ClassT, ClassTable,
-    Cond, ConstantPool, DefinitionError, Effect, EffectHole, EffectPair, Expr,
+    Atom, Call, ClassLit, ClassOf, ClassStar, ClassT, ClassTable, Cond,
+    ConstantPool, DefinitionError, Effect, EffectHole, EffectPair, Expr,
     FalseLit, If, IntLit, Let, MethodSig, NilLit, Not, Or, PURE, RecordLit,
-    RecordT, Region, STAR, SELF_STAR, SelfRegion, SelfStar, Seq, Star, StrLit,
-    SymLit, TrueLit, TypedHole, TypeExpr, UnionT, Var, canon_effect,
-    record_of, subtype, union_of,
+    Region, STAR, SELF_STAR, SelfRegion, SelfStar, Seq, StrLit, SymLit,
+    TrueLit, TypedHole, TypeExpr, UnionT, Var, record_of, subtype, union_of,
 )
 from .driver import Goal, Program
 from .interp import RESULT_VAR, SetupStmt, Spec

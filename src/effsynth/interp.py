@@ -15,7 +15,7 @@ observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import (
@@ -25,7 +25,7 @@ from .core import (
     resolve_self_pair,
 )
 from .runtime import (
-    Checkpoint, ClassV, FALSE_V, NIL_V, NilV, IntV, ObjV, RecordV, RuntimeError_,
+    Checkpoint, ClassV, FALSE_V, NIL_V, NilV, IntV, RecordV, RuntimeError_,
     RuntimeValue, StrV, SymV, TRUE_V, World, invoke_native, runtime_class_of,
     truthy,
 )

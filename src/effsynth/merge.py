@@ -8,27 +8,31 @@ expressions, fold boolean branches back into their conditions, and guess
 negated conditions when the tests confirm them. The merge search tries tuple
 orderings, rewrites each chain to fixpoint, and keeps the smallest program
 that passes every spec.
+
+Condition synthesis answers from one bank per merge session: write-pure
+terms over the goal's arguments, enumerated bottom-up by size and kept one
+per observational class, i.e. per static type and results at the goal's
+spec starts. Every condition search of the session reads the same bank and
+grows it only when no kept term separates its specs.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
-    Atom, BOOL_T, Call, Cond, ConstantPool, Expr, FalseLit, If, NIL, Not, Or,
-    PURE_PAIR, TRUE, TRUE_COND, TrueLit, TypeExpr, alpha_key, expr_size,
-    ClassTable,
+    Atom, BOOL_T, Call, ClassTable, Cond, ConstantPool, Expr, FalseLit, If,
+    NIL, Not, Or, RecordLit, RecordT, TRUE, TRUE_COND, TrueLit, TypeExpr, Var,
+    alpha_key, expr_size, subtype,
 )
-from .interp import (
-    AssertErr, Evaluator, Ok, Spec, SpecResult, SpecStart, run_spec, spec_start,
-)
-from .runtime import RuntimeError_, TRUE_V, World
+from .interp import Evaluator, Spec, SpecResult, SpecStart, run_spec, spec_start
+from .runtime import Checkpoint, ObjV, RecordV, RuntimeError_, RuntimeValue, World, truthy
 from .sat import implies_valid
-from .search import SearchConfig, SearchStats, search
-from .typegen import TypeEnv
+from .search import SearchConfig, SearchStats
+from .typegen import TypeCheckError, TypeEnv, node_type
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +146,7 @@ class MergeSession:
     # id(spec) -> (spec, its start); keyed by identity because hashing a
     # Spec walks its whole setup.
     starts: dict = field(default_factory=dict, init=False, repr=False)
+    bank: Optional["ConditionBank"] = field(default=None, init=False, repr=False)
 
     def expired(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
@@ -181,29 +186,58 @@ def make_merge_tuple(session: MergeSession, expr: Expr, cond: Cond,
     return MergeTuple(expr, cond, frozenset(spec_ids))
 
 
-def _cond_holds(session: MergeSession, c: Cond, spec: Spec, want: bool) -> bool:
-    """Evaluate a condition at a spec's start in the goal's argument scope;
-    a runtime error, also in the spec's setup or arguments, is a miss."""
+class _Error:
+    """The per-start result of a runtime error, wherever it was raised."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "ERR"
+
+
+ERR = _Error()
+
+
+def _content(world: World, cp: Checkpoint, v: RuntimeValue) -> object:
+    """v as a per-start result. A relation handle made by the evaluation is
+    numbered by a per-evaluation counter, so two handles over the same rows
+    share an id only by accident; the result gives such a handle as its
+    class and row ids instead. Handles that exist at the start keep their
+    identity."""
+    if isinstance(v, ObjV) and v.obj_id in world.relations and v.obj_id not in cp.relations:
+        return world.relations[v.obj_id]
+    if isinstance(v, RecordV):
+        return RecordV(tuple((k, _content(world, cp, x)) for k, x in v.pairs))
+    return v
+
+
+def _at_start(session: MergeSession, term, spec: Spec) -> object:
+    """A condition's truth, or a complete expression's value, at a spec's
+    start in the goal's argument scope; ERR if a runtime error is raised,
+    also in the spec's setup or arguments."""
     start = session.start(spec)
     if start.error is not None:
-        return False
-    session.world.restore(start.checkpoint)
+        return ERR
+    world = session.world
+    world.restore(start.checkpoint)
+    ev = Evaluator(world, session.ct)
     try:
-        return Evaluator(session.world, session.ct).eval_cond(start.param_env(), c) == want
+        if isinstance(term, (Atom, Not, Or)):
+            return ev.eval_cond(start.param_env(), term)
+        return _content(world, start.checkpoint, ev.eval(start.param_env(), term))
     except RuntimeError_:
-        return False
+        return ERR
 
 
-def _battery(session: MergeSession, c: Cond,
-             checks: list[tuple[Spec, bool]]) -> SpecResult:
+def _cond_holds(session: MergeSession, c: Cond, spec: Spec, want: bool) -> bool:
+    """Whether c evaluates to want at a spec's start; an error is a miss."""
+    return _at_start(session, c, spec) == want
+
+
+def _battery(session: MergeSession, term, specs) -> tuple:
+    """One candidate evaluation: the term's result at each spec's start."""
     session.count_eval()
-    passed = 0
-    for spec, want in checks:
-        if _cond_holds(session, c, spec, want):
-            passed += 1
-        else:
-            return SpecResult(passed, AssertErr(PURE_PAIR))
-    return SpecResult(passed, Ok(TRUE_V))
+    return tuple(_at_start(session, term, spec) for spec in specs)
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +246,18 @@ def _battery(session: MergeSession, c: Cond,
 
 def synth_condition(session: MergeSession, true_ids: frozenset[int],
                     false_ids: frozenset[int]) -> Optional[Cond]:
-    """A condition truthy under every true-spec setup and falsy under every
-    false-spec setup. Tries true, previously synthesized conditions, and
-    their negations before searching; the search is type-guided only and its
-    call templates are restricted to pure-write methods."""
+    """A condition truthy at every true-spec start and falsy at every
+    false-spec start, or None. Overlapping sides have none. Tries true,
+    previously synthesized conditions and their negations first, then asks
+    the session's condition bank for its first Bool term that fits."""
     memo_key = (tuple(sorted(true_ids)), tuple(sorted(false_ids)))
     if memo_key in session.cond_memo:
         return session.cond_memo[memo_key]
-    if session.expired():
+    if session.expired() or true_ids & false_ids:
         return None
-    checks = [(session.specs[i], True) for i in sorted(true_ids)]
-    checks += [(session.specs[j], False) for j in sorted(false_ids)]
+    ids = memo_key[0] + memo_key[1]
+    specs = [session.specs[i] for i in ids]
+    wants = (True,) * len(true_ids) + (False,) * len(false_ids)
 
     shortlist: list[Cond] = [TRUE_COND]
     shortlist += list(session.cond_cache)
@@ -233,27 +268,195 @@ def synth_condition(session: MergeSession, true_ids: frozenset[int],
         if key in tried:
             continue
         tried.add(key)
-        if _battery(session, cand, checks).ok:
+        if _battery(session, cand, specs) == wants:
             session.cond_memo[memo_key] = cand
             return cand
     if session.expired():
         return None
 
-    rules = replace(session.cfg.rules(), effects_on=False, pure_apps_only=True)
-    stats = SearchStats()
-    result = search(
-        session.param_env(), BOOL_T, session.ct, session.sigma, session.cfg,
-        lambda body: _battery(session, Atom(body), checks),
-        wrap=False, stats=stats, rules=rules, deadline=session.deadline,
-    )
-    # _battery already counted its calls through the session.
-    stats.evaluated = 0
-    session.absorb(stats)
-    cond = Atom(result.expr) if result.found else None
+    found = search(session, true_ids, false_ids)
+    cond = Atom(found) if found is not None else None
     if cond is not None and not any(cond_eq(cond, c) for c in session.cond_cache):
         session.cond_cache.append(cond)
     session.cond_memo[memo_key] = cond
     return cond
+
+
+def search(session: MergeSession, true_ids: frozenset[int],
+           false_ids: frozenset[int]) -> Optional[Expr]:
+    """The condition search: the session's bank, built on first use, asked
+    for its first Bool term that fits the two sides."""
+    if session.bank is None:
+        session.bank = ConditionBank(session)
+    return session.bank.find(true_ids, false_ids)
+
+
+@dataclass(frozen=True)
+class BankTerm:
+    expr: Expr
+    ty: Optional[TypeExpr]  # None with types off: every term fits everywhere
+    results: tuple  # per spec start of the goal, in spec order
+
+
+class ConditionBank:
+    """Complete terms over the goal's arguments, enumerated bottom-up by size
+    and kept one per observational class (TRANSIT, Escher).
+
+    Each level holds the terms of one expr_size, made in the order in which
+    typed-hole expansion fills a hole: pool constants, arguments,
+    record-field reads, calls of the methods without a write effect in
+    all_sigs() order, then key-sorted record literals of those methods'
+    record-typed parameters. A composed term's operands come from smaller,
+    finished levels; with types on, an operand fits its slot by subtyping
+    and the composed node must type. Each term is evaluated once at every
+    spec start of the goal and keyed by (static type, per-start results);
+    only the first term per key is kept. A term that errs at every start is
+    dropped, since every term built on it errs there too.
+
+    A kept term is interchangeable with the dropped terms of its key inside
+    any bank term: bank terms run only at spec starts and their methods do
+    not write, so no subterm sees another's effects, and equal results at
+    every start give equal results in any context of calls and records.
+    """
+
+    def __init__(self, session: MergeSession) -> None:
+        self.session = session
+        self.types_on = session.cfg.rules().types_on
+        self.env = session.param_env()
+        self.levels: list[list[BankTerm]] = []
+        self.by_key: dict = {}
+        # Bool terms in bank order, each with its truth per start (None: error).
+        self.conds: list[tuple[Expr, tuple]] = []
+        self.sigs = [s for s in session.ct.all_sigs() if s.eff.write.is_pure()]
+        records = (p for s in self.sigs for p in s.params if isinstance(p, RecordT))
+        self.records = list(dict.fromkeys(records))
+        self._fitting: dict = {}
+        self._pending = self.candidates()
+
+    def find(self, true_ids: frozenset[int], false_ids: frozenset[int]) -> Optional[Expr]:
+        """The first Bool term truthy at every true-spec start and falsy at
+        every false-spec start, without an error at any of them. Grows the
+        bank only while no term fits, by at most cfg.candidate_budget
+        evaluations per call, up to cfg.max_size and the session
+        deadline."""
+        def fits(truth: tuple) -> bool:
+            return (all(truth[i] is True for i in true_ids)
+                    and all(truth[j] is False for j in false_ids))
+
+        for expr, truth in self.conds:
+            if fits(truth):
+                return expr
+        session = self.session
+        for _ in range(session.cfg.candidate_budget):
+            if session.expired():
+                return None
+            cand = next(self._pending, None)
+            if cand is None:
+                return None
+            known = len(self.conds)
+            self.admit(*cand)
+            if len(self.conds) > known and fits(self.conds[-1][1]):  # a new Bool term
+                return self.conds[-1][0]
+        return None
+
+    def admit(self, expr: Expr, ty: Optional[TypeExpr]) -> Optional[BankTerm]:
+        """Evaluate a candidate of the level being built; the kept term of
+        its key (itself if the key is new), or None if it errs everywhere."""
+        session = self.session
+        results = _battery(session, expr, session.specs)
+        if all(r is ERR for r in results):
+            return None
+        key = (ty, results, isinstance(expr, RecordLit))
+        kept = self.by_key.get(key)
+        if kept is not None:
+            return kept
+        kept = self.by_key[key] = BankTerm(expr, ty, results)
+        self.levels[-1].append(kept)
+        if ty is None or subtype(ty, BOOL_T, session.ct):
+            self.conds.append((expr, tuple(None if r is ERR else truthy(r) for r in results)))
+        return kept
+
+    def candidates(self):
+        """(term, static type) per candidate, level by level; a level is
+        opened before its first candidate and is finished when the next one
+        opens."""
+        session = self.session
+        size = 0
+        while size <= session.cfg.max_size:
+            self.levels.append([])
+            if size == 0:
+                for lit, _ in session.sigma.entries:
+                    yield from self._typed(lit, ())
+                for name in self.env:
+                    yield from self._typed(Var(name), ())
+            if size == 1:
+                for name, ty in self.env.items():
+                    if isinstance(ty, RecordT):
+                        for k, _, _ in ty.fields:
+                            yield from self._typed(Call(Var(name), k, ()), (ty,))
+            for sig in self.sigs:
+                for kids in self._operands((sig.owner, *sig.params), size - 1):
+                    yield from self._typed(
+                        Call(kids[0].expr, sig.name, tuple(k.expr for k in kids[1:])),
+                        [k.ty for k in kids])
+            made = set()  # two record types can share a literal
+            for rec in self.records:
+                required = [(k, ty) for k, opt, ty in rec.fields if not opt]
+                optional = [(k, ty) for k, opt, ty in rec.fields if opt]
+                for n in range(len(optional) + 1):
+                    for combo in itertools.combinations(optional, n):
+                        pairs = sorted(required + list(combo), key=lambda kv: kv[0])
+                        for kids in self._operands([ty for _, ty in pairs], size - len(pairs)):
+                            lit = RecordLit(tuple(
+                                (k, kid.expr) for (k, _), kid in zip(pairs, kids)))
+                            if lit not in made:
+                                made.add(lit)
+                                yield from self._typed(lit, [k.ty for k in kids])
+            size += 1
+
+    def _typed(self, expr: Expr, kid_tys):
+        """expr with its static type, given its children's, if its node
+        types; with types off every node is kept, untyped."""
+        if not self.types_on:
+            yield expr, None
+            return
+        try:
+            yield expr, node_type(self.env, self.session.ct, expr, kid_tys, True)
+        except TypeCheckError:
+            pass
+
+    def _operands(self, want, total: int):
+        """Operand tuples for slots of the wanted types whose sizes sum to
+        total, from finished levels: size splits in lexicographic order,
+        then kept terms in bank order."""
+        for pools in self._splits(tuple(want), total):
+            yield from itertools.product(*pools)
+
+    def _splits(self, want: tuple, total: int):
+        """Per split of total over the slots, in lexicographic order, each
+        slot's pool; a split with an empty pool is skipped whole."""
+        if total < 0 or not want:
+            if total == 0:
+                yield []
+            return
+        for size in (range(total + 1) if len(want) > 1 else (total,)):
+            pool = self._fits(size, want[0])
+            if pool:
+                for rest in self._splits(want[1:], total - size):
+                    yield [pool, *rest]
+
+    def _fits(self, size: int, ty: TypeExpr) -> list[BankTerm]:
+        """The kept terms of a finished level that fill a slot of type ty;
+        as in typed-hole expansion, record literals fill record-typed slots
+        only."""
+        key = (size, ty if self.types_on else isinstance(ty, RecordT))
+        pool = self._fitting.get(key)
+        if pool is None:
+            pool = self._fitting[key] = [
+                t for t in self.levels[size]
+                if (isinstance(ty, RecordT) or not isinstance(t.expr, RecordLit))
+                and (not self.types_on or subtype(t.ty, ty, self.session.ct))]
+        return pool
 
 
 # ---------------------------------------------------------------------------

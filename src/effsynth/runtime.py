@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from .core import (
-    BOOL_T, INT_T, NIL_T, PURE, STR_T, SYM_T,
-    ClassOf, ClassT, ClassTable, DefinitionError, Effect, EffectPair,
-    MethodSig, Region, SELF_STAR, TypeExpr, record_of, type_key, union_of,
+    BOOL_T, INT_T, NIL_T, STR_T, SYM_T, ClassOf, ClassT, ClassTable,
+    DefinitionError, Effect, EffectPair, MethodSig, Region, SELF_STAR,
+    TypeExpr, record_of, union_of,
 )
 
 

@@ -170,22 +170,18 @@ def search(
     cfg: SearchConfig,
     evaluate: Callable[[Expr], SpecResult],
     *,
-    wrap: bool = True,
     stats: Optional[SearchStats] = None,
-    rules: Optional[RuleConfig] = None,
     deadline: Optional[float] = None,
 ) -> GenerateResult:
-    """Core worklist loop, parameterized by the candidate evaluator so both
-    spec solving and branch-condition synthesis share it. The deadline is an
-    absolute time.monotonic() value checked between pops; callers that own a
-    whole synthesis session pass one so the budget spans every search."""
+    """Core worklist loop, parameterized by the candidate evaluator. The
+    deadline is an absolute time.monotonic() value checked between pops;
+    callers that own a whole synthesis session pass one so the budget spans
+    every search."""
     if deadline is None and cfg.timeout_s is not None:
         deadline = time.monotonic() + cfg.timeout_s
     stats = stats if stats is not None else SearchStats()
-    rules = rules if rules is not None else cfg.rules()
-    wrap_on = wrap and cfg.wrap_enabled
-    found = _run(env, ret_ty, ct, sigma, cfg, rules, evaluate, wrap_on,
-                 deadline, stats)
+    found = _run(env, ret_ty, ct, sigma, cfg, cfg.rules(), evaluate,
+                 cfg.wrap_enabled, deadline, stats)
     return GenerateResult(found, stats)
 
 
@@ -274,5 +270,5 @@ def generate(
     def evaluate(body: Expr) -> SpecResult:
         return run_spec(body, len(goal_params), spec, world, ct, start)
 
-    return search(env, ret_ty, ct, sigma, cfg, evaluate, wrap=True, stats=stats,
+    return search(env, ret_ty, ct, sigma, cfg, evaluate, stats=stats,
                   deadline=deadline)

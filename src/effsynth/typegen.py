@@ -46,13 +46,11 @@ class RuleConfig:
     """Which side conditions the synthesis rules enforce.
 
     Ablations replace the subtype / effect-subsumption side conditions with
-    "always true" while the structural rules stay in place; condition
-    synthesis additionally restricts call templates to pure-write methods.
+    "always true" while the structural rules stay in place.
     """
 
     types_on: bool = True
     effects_on: bool = True
-    pure_apps_only: bool = False
 
 
 FULL_RULES = RuleConfig()
@@ -95,8 +93,8 @@ def _check(env: TypeEnv, ct: ClassTable, e, strict: bool) -> TypeExpr:
     if isinstance(e, Let):
         bound = _check(env, ct, e.bound, strict)
         body = _check(_bind(env, e.var, bound), ct, e.body, strict)
-        return _rule(env, ct, e, (bound, body), strict)
-    return _rule(env, ct, e, [_check(env, ct, c, strict) for c in children(e)], strict)
+        return node_type(env, ct, e, (bound, body), strict)
+    return node_type(env, ct, e, [_check(env, ct, c, strict) for c in children(e)], strict)
 
 
 def _bind(env: TypeEnv, var: str, ty: TypeExpr) -> TypeEnv:
@@ -105,11 +103,12 @@ def _bind(env: TypeEnv, var: str, ty: TypeExpr) -> TypeEnv:
     return inner
 
 
-def _rule(env: TypeEnv, ct: ClassTable, e, kid_tys, strict: bool) -> TypeExpr:
+def node_type(env: TypeEnv, ct: ClassTable, e, kid_tys, strict: bool) -> TypeExpr:
     """The typing rule of one node: the type of e under env, given the types
     of its children in children() order (a let body's under env with the
-    variable bound). Whole-term checking and the path check after a hole
-    fill both type every node through here."""
+    variable bound). Whole-term checking, the path check after a hole fill
+    and the merge condition bank's compositions all type nodes through
+    here."""
     if isinstance(e, Call):
         recv_ty = kid_tys[0]
         members = recv_ty.members if isinstance(recv_ty, UnionT) else (recv_ty,)
@@ -254,7 +253,7 @@ def _path_accepts(ct: ClassTable, frames: list, ty: TypeExpr) -> bool:
             else:
                 kid_tys = list(kid_tys)
                 kid_tys[i] = ty
-            ty = _rule(scope, ct, node, kid_tys, True)
+            ty = node_type(scope, ct, node, kid_tys, True)
     except TypeCheckError:
         return False
     return True
@@ -311,8 +310,6 @@ def expand_typed_hole(env: TypeEnv, ct: ClassTable, sigma: ConstantPool,
                     if fits(read_ty, target):
                         out.append(Call(Var(name), k, ()))
         for sig in ct.all_sigs():
-            if cfg.pure_apps_only and not sig.eff.write.is_pure():
-                continue
             if fits(sig.ret, target):
                 out.append(Call(
                     TypedHole(sig.owner), sig.name,

@@ -2,9 +2,7 @@ import random
 
 import pytest
 
-from effsynth.core import (
-    BOOL_T, ClassOf, ClassT, ClassTable, INT_T, MethodSig, STR_T, leftmost_hole,
-)
+from effsynth.core import ClassTable, STR_T, leftmost_hole
 from effsynth.effgen import expand_effect_hole
 from effsynth.runtime import SchemaDecl, World, install_core_methods, install_schema
 from effsynth.typegen import FULL_RULES, expand_typed_hole

@@ -12,11 +12,10 @@ import time
 import pytest
 
 from effsynth.core import (
-    Atom, BOOL_T, Call, ClassLit, ClassOf, ClassStar, ClassT, ConstantPool,
-    Effect, EffectPair, FalseLit, If, IntLit, Let, NilLit, Not, Or, PURE,
-    PURE_PAIR, RecordLit, Region, Seq, Star, StrLit, STR_T, TRUE_COND,
-    TrueLit, Var, atom_key, canon_effect, eff_subsumes, eff_union, expr_size,
-    subtype, union_of, walk,
+    Atom, Call, ClassLit, ClassOf, ClassStar, ClassT, ConstantPool, Effect,
+    FalseLit, If, IntLit, Let, NilLit, Not, Or, PURE, RecordLit, Region, Seq,
+    Star, StrLit, STR_T, TRUE_COND, TrueLit, Var, atom_key, canon_effect,
+    eff_subsumes, eff_union, subtype, union_of, walk,
 )
 from effsynth.driver import synthesize
 from effsynth.goalfile import load_goal_file, print_program

@@ -109,6 +109,21 @@ class TestEvalAndCheck:
                            "--program", str(pfile))
         assert code == 2
 
+    @pytest.mark.parametrize("source", [
+        "(def f (params a b c) a)",
+        '(def f (params) "x")',
+    ], ids=["extra", "missing"])
+    def test_check_arity_mismatch_exits_two(self, capsys, tmp_path, source):
+        # check must not zip the parameters against the goal's types and
+        # silently drop the surplus; it rejects the program as eval does
+        pfile = tmp_path / "p.prog"
+        pfile.write_text(source, encoding="utf-8")
+        for command in ("eval", "check"):
+            code, out, err = run(capsys, command, str(GOALS / "s1_lvar.goal"),
+                                 "--program", str(pfile))
+            assert code == 2, command
+            assert "goal expects 1" in err and "ok" not in out
+
     def test_check_accepts_well_typed(self, capsys, tmp_path):
         pfile = tmp_path / "p.prog"
         pfile.write_text("(def lvar (params arg0) arg0)", encoding="utf-8")

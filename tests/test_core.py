@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from effsynth.core import (
-    BOOL_T, Call, ClassLit, ClassOf, ClassStar, ClassT, ClassTable,
-    DefinitionError, Effect, EffectHole, EffectPair, IntLit, INT_T, Let,
-    MethodSig, NIL_T, NilLit, OBJ_T, PURE, RecordLit, RecordT, Region,
-    SELF_STAR, STR_T, SelfRegion, Seq, Star, StrLit, TypedHole, UnionT, Var,
-    canon_effect, eff_subsumes, eff_union, expr_size, is_complete,
-    leftmost_hole, record_of, resolve_self, subtype, union_of, walk,
+    BOOL_T, Call, ClassOf, ClassStar, ClassT, ClassTable, DefinitionError,
+    Effect, EffectHole, EffectPair, IntLit, Let, MethodSig, NIL_T, NilLit,
+    OBJ_T, PURE, RecordLit, Region, SELF_STAR, STR_T, SelfRegion, Seq, Star,
+    StrLit, TypedHole, UnionT, Var, canon_effect, eff_subsumes, eff_union,
+    expr_size, is_complete, leftmost_hole, record_of, resolve_self, subtype,
+    union_of, walk,
 )
 from conftest import random_hierarchy
 

@@ -1,10 +1,10 @@
 import random
 
 from effsynth.core import (
-    Call, ClassLit, ClassOf, ClassStar, ClassT, Effect, EffectHole,
-    EffectPair, Let, NilLit, PURE, PURE_PAIR, RecordLit, Region, Seq, Star,
-    StrLit, STR_T, TypedHole, Var, canon_effect, eff_subsumes, expr_size,
-    is_complete, leftmost_hole, resolve_self,
+    Call, ClassLit, ClassOf, ClassStar, ClassT, Effect, EffectHole, EffectPair,
+    Let, NilLit, PURE, PURE_PAIR, RecordLit, Region, Seq, Star, STR_T,
+    TypedHole, Var, canon_effect, eff_subsumes, expr_size, leftmost_hole,
+    resolve_self,
 )
 from conftest import expand_effect
 from effsynth.effgen import (

@@ -2,14 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from effsynth.core import (
-    Atom, BOOL_T, Call, ClassLit, ClassOf, ClassStar, ClassT, Effect,
-    IntLit, Not, Or, PURE, RecordLit, RecordT, Region, SELF_STAR, STR_T,
-    SelfRegion, Star, StrLit, UnionT, Var, union_of,
+    Atom, Call, ClassLit, ClassOf, ClassStar, ClassT, Effect, Not, Or, PURE,
+    RecordLit, RecordT, Region, SELF_STAR, STR_T, SelfRegion, Star, StrLit,
+    Var, union_of,
 )
 from effsynth.goalfile import (
-    GoalFile, build, parse_effect, parse_expr, parse_goal_file,
-    parse_program_file, print_effect, print_expr, print_goal_file,
-    print_program, print_type, parse_type,
+    build, parse_effect, parse_expr, parse_goal_file, parse_program_file,
+    print_effect, print_expr, print_goal_file, print_program, print_type,
+    parse_type,
 )
 from effsynth.sexp import ParseError, SInt, SList, SStr, Sym, parse_sexps, write_sexp
 

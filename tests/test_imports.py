@@ -1,0 +1,67 @@
+"""No module imports a name it never uses.
+
+An `ast` scan over the library (`src/effsynth/*.py`, apart from the
+package's `__init__.py` re-exports) and the tests: every name an import
+binds must be read somewhere in the same file, in code or in a string
+annotation.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(
+    [p for p in (ROOT / "src" / "effsynth").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "tests").glob("*.py")))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of each import outside `from __future__`."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if a is not None and a.annotation is not None:
+                    yield a.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in _annotations(tree):
+        for n in ast.walk(ann):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                used |= {m.id for m in ast.walk(ast.parse(n.value, mode="eval"))
+                         if isinstance(m, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used(tree)
+    unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items()
+                    if name not in used)
+    assert not unused, f"{path.name} imports unused names: {', '.join(unused)}"
+
+
+def test_scan_sees_an_unused_import():
+    tree = ast.parse("from x import a, b\nimport c.d\n\ndef f(y: 'a') -> None:\n    c\n")
+    assert sorted(set(_imported(tree)) - _used(tree)) == ["b"]

@@ -1,9 +1,8 @@
 import pytest
 
 from effsynth.core import (
-    Atom, Call, ClassLit, ClassStar, Effect, EffectPair, FalseLit, If,
-    IntLit, Let, NilLit, PURE_PAIR, RecordLit, Region, Seq, StrLit, TrueLit,
-    Var,
+    Atom, Call, ClassLit, Effect, FalseLit, If, IntLit, Let, NilLit, PURE_PAIR,
+    RecordLit, Region, Seq, StrLit, TrueLit, Var,
 )
 from pathlib import Path
 

@@ -6,16 +6,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from effsynth.core import (
-    Atom, BOOL_T, Call, ClassLit, ClassOf, ClassT, ConstantPool, FalseLit,
-    If, IntLit, Let, NIL, NilLit, Not, Or, RecordLit, Seq, StrLit, STR_T,
-    TRUE_COND, TrueLit, Var, expr_size, walk,
+    Atom, Call, ClassLit, ClassOf, ClassT, ConstantPool, FalseLit, If,
+    IntLit, Let, NIL, NilLit, Not, Or, RecordLit, StrLit, STR_T, TRUE_COND,
+    TrueLit, Var, children, rebuild, walk,
 )
+from effsynth.goalfile import load_goal_file
 from effsynth.interp import SetupStmt, Spec
 from effsynth.merge import (
-    MergeSession, MergeTerm, MergeTuple, _cond_holds, canon_cond, canon_not,
-    cond_as_expr, cond_eq, is_tautology, make_merge_tuple,
-    merge_program, rewrite_merge, synth_condition,
+    ConditionBank, MergeSession, MergeTerm, MergeTuple, _battery, _cond_holds,
+    canon_cond, canon_not, cond_as_expr, cond_eq, is_tautology,
+    make_merge_tuple, merge_program, rewrite_merge, search, synth_condition,
 )
+from effsynth.runtime import relation_class
 from effsynth.sat import implies_valid
 from effsynth.search import SearchConfig
 
@@ -353,6 +355,118 @@ class TestSynthCondition:
         session.cfg = SearchConfig(max_size=2, candidate_budget=60)
         cond = synth_condition(session, frozenset({0}), frozenset({0}))
         assert cond is None
+
+    def test_overlapping_sides_give_none_without_evaluating(self, session):
+        for true_ids, false_ids in (({0}, {0}), ({0, 1}, {1}), ({1}, {0, 1})):
+            assert synth_condition(session, frozenset(true_ids), frozenset(false_ids)) is None
+        assert session.stats.evaluated == 0
+        assert session.bank is None
+
+    def test_found_condition_is_a_bank_term(self, session):
+        cond = synth_condition(session, frozenset({0}), frozenset({1}))
+        assert any(cond.expr == expr for expr, _ in session.bank.conds)
+        # asked again, the bank answers from its kept terms without growing
+        evaluated = session.stats.evaluated
+        assert search(session, frozenset({0}), frozenset({1})) == cond.expr
+        assert session.stats.evaluated == evaluated
+
+
+def twin_session(blog, cfg, deadline=None):
+    """Two specs with the same setup and arguments: no term separates them."""
+    ct, world = blog
+    setup = [SetupStmt(call(ClassLit("Post"), "create",
+                            RecordLit((("slug", StrLit("present")),))), "p")]
+    specs = tuple(mkspec(title, setup, [StrLit("present")], [TrueLit()])
+                  for title in ("first", "second"))
+    return MergeSession(
+        goal_params=(STR_T,), ret_ty=STR_T, ct=ct,
+        sigma=ConstantPool(((ClassLit("Post"), ClassOf("Post")),)), world=world,
+        cfg=cfg, specs=specs, deadline=deadline)
+
+
+class TestConditionBank:
+    def test_unseparable_sides_stop_at_the_budget(self, blog):
+        s = twin_session(blog, SearchConfig(candidate_budget=150))
+        assert synth_condition(s, frozenset({0}), frozenset({1})) is None
+        # the shortlist's one battery, then the budget in the bank (which
+        # would run dry only after 194 evaluations)
+        assert s.stats.evaluated == 1 + 150
+
+    def test_unseparable_sides_stop_at_the_deadline(self, blog):
+        # without types the bank keeps finding new values for many seconds
+        s = twin_session(blog, SearchConfig(mode="effects_only", candidate_budget=10**6),
+                         deadline=time.monotonic() + 0.2)
+        t0 = time.monotonic()
+        assert synth_condition(s, frozenset({0}), frozenset({1})) is None
+        assert time.monotonic() - t0 < 0.2 + 1.0
+        assert s.expired()
+
+    def test_relations_are_keyed_by_their_rows(self, blog):
+        # where-handles are numbered per evaluation, so both queries below
+        # return the handle -1; only their row sets tell them apart
+        ct, world = blog
+        post = ClassLit("Post")
+        setup = [SetupStmt(call(post, "create", RecordLit((("slug", StrLit(t)),))))
+                 for t in ("a", "b")]
+        setup.append(SetupStmt(call(post, "where", RecordLit(())), "r"))
+        spec = mkspec("two-posts", setup, [StrLit("a"), Var("r")], [TrueLit()])
+        rel = ClassT(relation_class("Post"))
+        s = MergeSession(
+            goal_params=(STR_T, rel), ret_ty=STR_T, ct=ct,
+            sigma=ConstantPool(((post, ClassOf("Post")),)), world=world,
+            cfg=SearchConfig(), specs=(spec,))
+        bank = ConditionBank(s)
+        bank.levels.append([])
+        by_slug = call(post, "where", RecordLit((("slug", Var("arg0")),)))
+        every = call(post, "where", RecordLit(()))
+        same_rows = call(post, "where", RecordLit((("slug", StrLit("a")),)))
+        kept = [bank.admit(e, rel) for e in (by_slug, every, same_rows, Var("arg1"))]
+        assert kept[0].expr == by_slug and kept[1].expr == every
+        assert kept[0].results != kept[1].results
+        # the same rows are the same relation
+        assert kept[2] is kept[0]
+        # a handle made by the setup has an identity a fresh one lacks:
+        # (arg1 == arg1) holds, (every == arg1) does not
+        assert kept[3].expr == Var("arg1") and kept[3] is not kept[1]
+        assert _battery(s, Atom(eq(Var("arg1"), Var("arg1"))), s.specs) == (True,)
+        assert _battery(s, Atom(eq(every, Var("arg1"))), s.specs) == (False,)
+
+
+def substitute(e, old, new):
+    if e == old:
+        return new
+    kids = children(e)
+    return rebuild(e, [substitute(k, old, new) for k in kids]) if kids else e
+
+
+@pytest.mark.parametrize("goal", ["update_post", "s5_branching"])
+def test_dropped_terms_are_interchangeable_with_their_representatives(goal):
+    """Observational equivalence is sound: a term the bank drops as a
+    duplicate, put in place of the term kept for its key inside any bank
+    term, leaves that term's per-start results unchanged."""
+    gf, ct, world = load_goal_file(f"goals/{goal}.goal")
+    s = MergeSession(
+        goal_params=gf.goal.param_types, ret_ty=gf.goal.ret, ct=ct,
+        sigma=gf.goal.constants, world=world, cfg=SearchConfig(),
+        specs=gf.goal.specs)
+    bank = ConditionBank(s)
+    dropped = []
+    for expr, ty in bank.candidates():
+        if len(bank.levels) > 4:  # level 4 opened: sizes 0-3 are done
+            break
+        kept = bank.admit(expr, ty)
+        if kept is not None and kept.expr is not expr:
+            dropped.append((expr, kept.expr))
+    assert dropped
+    checked = 0
+    for level in bank.levels[:4]:
+        for term in level:
+            for dup, rep in dropped:
+                swapped = substitute(term.expr, rep, dup)
+                if swapped != term.expr:
+                    checked += 1
+                    assert _battery(s, swapped, s.specs) == term.results, (term.expr, dup)
+    assert checked > 0
 
 
 class TestMergeProgram:

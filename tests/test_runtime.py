@@ -7,9 +7,8 @@ from effsynth.core import (
     MethodSig, PURE, Region, SELF_STAR, STR_T, eff_subsumes, resolve_self,
 )
 from effsynth.runtime import (
-    BoolV, ClassV, IntV, NIL_V, ObjV, RecordV, RuntimeError_, SchemaDecl,
-    StrV, World, generate_schema_methods, install_core_methods,
-    install_schema, invoke_native, record_v, relation_class,
+    BoolV, ClassV, IntV, NIL_V, ObjV, RuntimeError_, SchemaDecl, StrV,
+    generate_schema_methods, invoke_native, record_v, relation_class,
 )
 
 

@@ -40,6 +40,9 @@ def test_spans_cover_the_layers_and_agree_with_the_report():
     calls = tracer.summary()["calls"]
     assert calls["sat.implies"] > 0
     assert calls["merge.cond_eval"] > 0
+    # s5's merge asks the condition bank; a stale merge.search would install
+    # and record nothing
+    assert calls["merge.cond_search"] > 0
     evaluations = (calls["interp.run_spec"] + calls["merge.battery"]
                    + tracer.counts["merge.guess_evals"])
     assert evaluations == report.candidates_evaluated

@@ -6,10 +6,10 @@ from conftest import expand_effect, expand_typed
 from effsynth import search as search_mod
 from effsynth.core import (
     Atom, BOOL_T, Call, ClassLit, ClassOf, ClassT, ConstantPool, Effect,
-    EffectHole, FalseLit, If, IntLit, INT_T, Let, NIL_T, NilLit, Not, OBJ_T,
-    PURE, RecordLit, RecordT, Region, Seq, StrLit, STR_T, TrueLit, TypedHole,
-    UnionT, Var, alpha_key, children, expr_size, leftmost_hole, rebuild,
-    record_of, union_of, walk,
+    EffectHole, If, IntLit, INT_T, Let, NIL_T, NilLit, Not, OBJ_T, PURE,
+    RecordLit, RecordT, Region, Seq, StrLit, STR_T, TrueLit, TypedHole, Var,
+    alpha_key, children, expr_size, leftmost_hole, rebuild, record_of,
+    union_of, walk,
 )
 from effsynth.driver import synthesize
 from effsynth.effgen import expand_effect_hole
