@@ -2,8 +2,10 @@
 
 Each spec is first checked against every expression already found; a hit
 adds the spec to that tuple. Only unexplained specs trigger a fresh search.
-The collected tuples then go through the merge search, and the final program
-is re-run against every spec as a last gate.
+The collected tuples are then merged into one decision list, and the final
+program is re-run against every spec as the one gate: stage `merge` means a
+branch had no separating condition, `final-gate` that the merged program
+fails a spec.
 """
 
 from __future__ import annotations

@@ -5,9 +5,8 @@ satisfies the given specs. Chains of tuples denote if/else-if programs; the
 rewrite rules collapse equal expressions under implied or disjoined
 conditions, resynthesize conditions that fail to separate differing
 expressions, fold boolean branches back into their conditions, and guess
-negated conditions when the tests confirm them. The merge search tries tuple
-orderings, rewrites each chain to fixpoint, and keeps the smallest program
-that passes every spec.
+negated conditions when the tests confirm them. Merging builds one decision
+list, as EUSolver's decision-tree unification does, and simplifies it once.
 
 Condition synthesis answers from one bank per merge session: write-pure
 terms over the goal's arguments, enumerated bottom-up by size and kept one
@@ -26,7 +25,7 @@ from typing import Optional
 from .core import (
     Atom, BOOL_T, Call, ClassTable, Cond, ConstantPool, Expr, FalseLit, If,
     NIL, Not, Or, RecordLit, RecordT, TRUE, TRUE_COND, TrueLit, TypeExpr, Var,
-    alpha_key, expr_size, subtype,
+    alpha_key, subtype,
 )
 from .interp import Evaluator, Spec, SpecResult, SpecStart, run_spec, spec_start
 from .runtime import Checkpoint, ObjV, RecordV, RuntimeError_, RuntimeValue, World, truthy
@@ -141,7 +140,7 @@ class MergeSession:
     cond_cache: list[Cond] = field(default_factory=list)
     cond_memo: dict = field(default_factory=dict)
     stats: SearchStats = field(default_factory=SearchStats)
-    orderings_tried: int = 0
+    orderings_tried: int = 0  # 1 once the decision list has been rewritten
     deadline: Optional[float] = None
     # id(spec) -> (spec, its start); keyed by identity because hashing a
     # Spec walks its whole setup.
@@ -247,7 +246,8 @@ def _battery(session: MergeSession, term, specs) -> tuple:
 def synth_condition(session: MergeSession, true_ids: frozenset[int],
                     false_ids: frozenset[int]) -> Optional[Cond]:
     """A condition truthy at every true-spec start and falsy at every
-    false-spec start, or None. Overlapping sides have none. Tries true,
+    false-spec start, or None. Overlapping sides have none, nor do twins:
+    specs whose starts have equal arguments and worlds. Tries true,
     previously synthesized conditions and their negations first, then asks
     the session's condition bank for its first Bool term that fits."""
     memo_key = (tuple(sorted(true_ids)), tuple(sorted(false_ids)))
@@ -257,6 +257,9 @@ def synth_condition(session: MergeSession, true_ids: frozenset[int],
         return None
     ids = memo_key[0] + memo_key[1]
     specs = [session.specs[i] for i in ids]
+    starts = [(st.args, st.checkpoint) for st in map(session.start, specs)]
+    if any(st in starts[len(true_ids):] for st in starts[:len(true_ids)]):
+        return None
     wants = (True,) * len(true_ids) + (False,) * len(false_ids)
 
     shortlist: list[Cond] = [TRUE_COND]
@@ -464,25 +467,21 @@ class ConditionBank:
 # ---------------------------------------------------------------------------
 
 def rewrite_merge(term: MergeTerm, session: MergeSession) -> MergeTerm:
-    """Apply the adjacent-pair rules to fixpoint. Condition resynthesis fires
-    at most once per pair; if it cannot find separating conditions the pair
-    is left in its original chained form. Rewriting also stops when a chain
-    repeats, because the negation guesses can undo each other, and past the
+    """Apply the adjacent-pair rules to fixpoint, each pair knowing the specs
+    of the tuples after it. Rewriting stops when a chain repeats, as guesses
+    can undo each other and resynthesis can restate a pair, and past the
     session deadline; the chain is returned as far as it got."""
     tuples = list(term.tuples)
-    tried_resynth: set = set()
     visited = {tuple(map(_tuple_key, tuples))}
     changed = True
     while changed and not session.expired():
         changed = False
         for i in range(len(tuples) - 1):
-            step = _rewrite_pair(tuples[i], tuples[i + 1], session, tried_resynth)
+            later = frozenset().union(*(t.specs for t in tuples[i + 2:]))
+            step = _rewrite_pair(tuples[i], tuples[i + 1], later, session)
             if step is None:
                 continue
-            if len(step) == 1:
-                tuples[i : i + 2] = [step[0]]
-            else:
-                tuples[i], tuples[i + 1] = step
+            tuples[i : i + 2] = step
             state = tuple(map(_tuple_key, tuples))
             changed = state not in visited
             visited.add(state)
@@ -494,16 +493,8 @@ def _tuple_key(t: MergeTuple) -> tuple:
     return (alpha_key(t.expr), cond_key(t.cond), tuple(sorted(t.specs)))
 
 
-def _is_true(e: Expr) -> bool:
-    return isinstance(e, TrueLit)
-
-
-def _is_false(e: Expr) -> bool:
-    return isinstance(e, FalseLit)
-
-
-def _rewrite_pair(t1: MergeTuple, t2: MergeTuple, session: MergeSession,
-                  tried_resynth: set) -> Optional[tuple]:
+def _rewrite_pair(t1: MergeTuple, t2: MergeTuple, later: frozenset[int],
+                  session: MergeSession) -> Optional[tuple]:
     union = t1.specs | t2.specs
     e_eq = alpha_key(t1.expr) == alpha_key(t2.expr)
     imp12 = implies_valid(t1.cond, t2.cond)
@@ -517,12 +508,14 @@ def _rewrite_pair(t1: MergeTuple, t2: MergeTuple, session: MergeSession,
         return (MergeTuple(t1.expr, Or(t1.cond, t2.cond), union),)
 
     neg_related = cond_eq(t2.cond, canon_not(t1.cond))
-    if _is_true(t1.expr) and _is_false(t2.expr) and neg_related:
+    if isinstance(t1.expr, TrueLit) and isinstance(t2.expr, FalseLit) and neg_related:
         return (MergeTuple(cond_as_expr(t1.cond), Or(t1.cond, t2.cond), union),)
-    if _is_false(t1.expr) and _is_true(t2.expr) and neg_related:
+    if isinstance(t1.expr, FalseLit) and isinstance(t2.expr, TrueLit) and neg_related:
         return (MergeTuple(cond_as_expr(t2.cond), Or(t1.cond, t2.cond), union),)
 
-    if not neg_related:
+    # A guessed negation holds wherever the other branch fails, so it would
+    # also catch the later specs; guess only at the end of the chain.
+    if not neg_related and not later:
         guess = canon_not(t1.cond)
         session.count_eval()
         if all(_cond_holds(session, guess, session.specs[j], True)
@@ -535,13 +528,9 @@ def _rewrite_pair(t1: MergeTuple, t2: MergeTuple, session: MergeSession,
                    for i in sorted(t1.specs)):
                 return (MergeTuple(t1.expr, guess, t1.specs), t2)
 
-    if (imp12 or imp21) and not e_eq:
-        mark = (_tuple_key(t1), _tuple_key(t2))
-        if mark in tried_resynth:
-            return None
-        tried_resynth.add(mark)
-        b1 = synth_condition(session, t1.specs, t2.specs)
-        b2 = synth_condition(session, t2.specs, t1.specs)
+    if imp12 or imp21:
+        b1 = synth_condition(session, t1.specs, t2.specs | later)
+        b2 = synth_condition(session, t2.specs, t1.specs | later)
         if b1 is not None and b2 is not None:
             return (MergeTuple(t1.expr, b1, t1.specs),
                     MergeTuple(t2.expr, b2, t2.specs))
@@ -549,26 +538,25 @@ def _rewrite_pair(t1: MergeTuple, t2: MergeTuple, session: MergeSession,
 
 
 # ---------------------------------------------------------------------------
-# The merge search
+# Merging
 # ---------------------------------------------------------------------------
 
 def merge_program(tuples: list[MergeTuple], session: MergeSession) -> Optional[Expr]:
-    """Try tuple orderings (all permutations up to six tuples, rotations past
-    that), rewrite each, and return the smallest body passing every spec."""
-    n = len(tuples)
-    if n <= 6:
-        orderings = list(itertools.permutations(range(n)))
-    else:
-        orderings = [tuple(range(k, n)) + tuple(range(k)) for k in range(n)]
-    best: Optional[tuple[int, Expr]] = None
-    for order in orderings:
-        if session.expired():
-            break
-        session.orderings_tried += 1
-        term = rewrite_merge(MergeTerm(tuple(tuples[i] for i in order)), session)
-        body = term.prog()
-        if all(session.run_body(body, s).ok for s in session.specs):
-            size = expr_size(body)
-            if best is None or size < best[0]:
-                best = (size, body)
-    return best[1] if best else None
+    """One decision list, rewritten by the rules: tuples with alpha-equal
+    expressions share a branch, each branch's condition separates its specs
+    from those of every later branch, and the last branch has none. None if
+    a condition is not found; the caller checks the body on every spec."""
+    branches: dict = {}  # alpha key of the expression -> (expr, specs)
+    for t in tuples:
+        expr, specs = branches.get(alpha_key(t.expr), (t.expr, frozenset()))
+        branches[alpha_key(t.expr)] = (expr, specs | t.specs)
+    chain = []
+    rest = list(branches.values())
+    for k, (expr, specs) in enumerate(rest):
+        later = frozenset().union(*(s for _, s in rest[k + 1:]))
+        cond = synth_condition(session, specs, later) if later else TRUE_COND
+        if cond is None:
+            return None
+        chain.append(MergeTuple(expr, cond, specs))
+    session.orderings_tried = 1
+    return rewrite_merge(MergeTerm(tuple(chain)), session).prog()

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from conftest import lookup_goal_text
 from effsynth.cli import main
 
 
@@ -54,8 +53,17 @@ class TestSynth:
         assert sorted(data) == REPORT_KEYS
 
     def test_report_names_the_failed_stage(self, capsys, tmp_path):
-        goal = tmp_path / "lookup3.goal"
-        goal.write_text(lookup_goal_text(3), encoding="utf-8")
+        # each spec alone is solvable, but with the same setup and arguments
+        # no branch condition can tell them apart
+        goal = tmp_path / "twins.goal"
+        goal.write_text("""
+(constants ("a" Str) ("b" Str))
+(goal twins
+  (sig (Str -> Str))
+  (consts "a" "b")
+  (spec "wants a" (setup (call! "k")) (post (assert (call x_r == "a"))))
+  (spec "wants b" (setup (call! "k")) (post (assert (call x_r == "b")))))
+""", encoding="utf-8")
         report = tmp_path / "r.json"
         code, _, err = run(capsys, "synth", str(goal), "--report", str(report))
         assert code == 1

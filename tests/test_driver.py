@@ -1,12 +1,11 @@
 import itertools
-import math
 import time
 
 import pytest
 
 from conftest import lookup_goal_text
-from effsynth import interp
-from effsynth.core import Call, ClassLit, DefinitionError, RecordLit, StrLit
+from effsynth import driver, interp
+from effsynth.core import Call, ClassLit, DefinitionError, NilLit, RecordLit, StrLit
 from effsynth.driver import Goal, count_paths, synthesize
 from effsynth.goalfile import build, load_goal_file, parse_goal_file, print_program
 from effsynth.interp import SetupStmt, Spec, run_spec
@@ -55,7 +54,7 @@ class TestSynthesize:
         assert report.candidates_evaluated > 0
         assert report.candidates_expanded > 0
         assert report.goal == "user_exists"
-        assert report.merge_orderings_tried >= 1
+        assert report.merge_orderings_tried == 1
 
     def test_failure_report_carries_stage(self, blog):
         ct, world = blog
@@ -70,6 +69,16 @@ class TestSynthesize:
         assert program is None
         assert not report.success
         assert report.failed_stage == "spec:never"
+        assert report.program_size is None and report.paths is None
+
+    def test_failing_merged_program_stops_at_the_final_gate(self, monkeypatch):
+        # merging runs no spec; the driver's final gate is the one check
+        gf, ct, world = load("s5_branching")
+        monkeypatch.setattr(driver, "merge_program",
+                            lambda tuples, session: Call(NilLit(), "boom", ()))
+        program, report = synthesize(gf.goal, ct, world, SearchConfig())
+        assert program is None
+        assert report.failed_stage == "final-gate"
         assert report.program_size is None and report.paths is None
 
     def test_spec_order_permutation_still_validates(self):
@@ -95,29 +104,51 @@ class TestSynthesize:
             assert run_spec(program.body, goal.arity, spec, world, ct).ok
 
 
+NEAR_TWINS = """
+(schema Post (author Str) (title Str) (slug Str))
+(schema User (name Str) (username Str))
+(constants ("a" Str) ("b" Str) (Post (class-of Post)))
+(goal pick
+  (sig (Str -> Str))
+  (consts "a" "b" Post)
+  (spec "post only"
+    (setup (call Post create (record (slug "present"))) (call! "present"))
+    (post (assert (call x_r == "a"))))
+  (spec "post and user"
+    (setup (call Post create (record (slug "present")))
+           (call User create (record (name "u")))
+           (call! "present"))
+    (post (assert (call x_r == "b")))))
+"""
+
+
 class TestTimeout:
     def test_merge_stops_at_the_deadline(self):
-        # merging lookup6 tries 720 orderings, far more than fit in the
-        # timeout; the deadline must end it inside merge
-        gf = parse_goal_file(lookup_goal_text(6))
+        # the two specs differ only in a User row that no condition over
+        # Post and the argument sees; without types the condition bank
+        # keeps growing far past the timeout, so the deadline must end it
+        gf = parse_goal_file(NEAR_TWINS)
         ct, world = build(gf)
+        cfg = SearchConfig(mode="effects_only", timeout_s=0.3)
         t0 = time.monotonic()
-        program, report = synthesize(gf.goal, ct, world, SearchConfig(timeout_s=0.3))
+        program, report = synthesize(gf.goal, ct, world, cfg)
         assert time.monotonic() - t0 < 0.3 + 3
         assert program is None
+        assert report.tuple_count == 2
         assert report.failed_stage == "merge"
-        assert report.merge_orderings_tried < 720
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
 def test_lookup_merge_ends_without_a_timeout(n):
-    # merge rewriting stops when a chain repeats, so every ordering ends
+    # one decision list: branch k tests "k<k>" and the last one is the else
     gf = parse_goal_file(lookup_goal_text(n))
     ct, world = build(gf)
     program, report = synthesize(gf.goal, ct, world, SearchConfig())
-    assert program is None
-    assert report.failed_stage == "merge"
-    assert report.merge_orderings_tried == math.factorial(n)
+    assert program is not None
+    assert report.paths == count_paths(program.body) == n
+    assert report.merge_orderings_tried == 1
+    for spec in gf.goal.specs:
+        assert run_spec(program.body, gf.goal.arity, spec, world, ct).ok
 
 
 def with_decoys(goal, rows):

@@ -5,12 +5,13 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import lookup_goal_text
 from effsynth.core import (
-    Atom, Call, ClassLit, ClassOf, ClassT, ConstantPool, FalseLit, If,
+    Atom, Call, ClassLit, ClassOf, ClassT, ConstantPool, FALSE, FalseLit, If,
     IntLit, Let, NIL, NilLit, Not, Or, RecordLit, StrLit, STR_T, TRUE_COND,
     TrueLit, Var, children, rebuild, walk,
 )
-from effsynth.goalfile import load_goal_file
+from effsynth.goalfile import build, load_goal_file, parse_goal_file
 from effsynth.interp import SetupStmt, Spec
 from effsynth.merge import (
     ConditionBank, MergeSession, MergeTerm, MergeTuple, _battery, _cond_holds,
@@ -74,8 +75,16 @@ class TestImplies:
         assert not implies_valid(Or(b, c), b)
 
     def test_distinct_atoms_unrelated(self):
-        # the true literal is just another atom variable, never shortcut
+        # true is a constant, and it implies no condition that can be false
         assert not implies_valid(TRUE_COND, atom("b"))
+
+    def test_literal_atoms_are_constants(self):
+        a = atom("a")
+        assert implies_valid(Not(a), TRUE_COND)
+        assert implies_valid(a, TRUE_COND)
+        assert implies_valid(Atom(FALSE), a)
+        assert not implies_valid(TRUE_COND, Atom(FALSE))
+        assert implies_valid(TRUE_COND, Or(a, Not(a)))
 
     def test_negation(self):
         b = atom("b")
@@ -158,6 +167,15 @@ def session(blog):
         cfg=SearchConfig(max_size=6, candidate_budget=300),
         specs=specs,
     )
+
+
+def lookup_session(n):
+    """A merge session over the specs of the flat lookup goal `lookup<n>`."""
+    gf = parse_goal_file(lookup_goal_text(n))
+    ct, world = build(gf)
+    return MergeSession(
+        goal_params=gf.goal.param_types, ret_ty=gf.goal.ret, ct=ct,
+        sigma=gf.goal.constants, world=world, cfg=SearchConfig(), specs=gf.goal.specs)
 
 
 def specs_of(term: MergeTerm):
@@ -267,6 +285,31 @@ class TestRewriteRules:
             out = rewrite_merge(MergeTerm(tuples), session)
             assert out.spec_ids() == before
 
+    def test_negation_guess_waits_for_the_end_of_the_chain(self):
+        # guessing (not k0) for the middle branch holds at its own spec but
+        # would also route spec 2 into it; only the last pair may guess
+        s = lookup_session(3)
+        k0, k1, k2 = (Atom(eq(StrLit(f"k{i}"), Var("arg0"))) for i in range(3))
+        chain = (MergeTuple(IntLit(0), k0, frozenset({0})),
+                 MergeTuple(IntLit(1), k1, frozenset({1})),
+                 MergeTuple(IntLit(2), k2, frozenset({2})))
+        out = rewrite_merge(MergeTerm(chain), s)
+        assert out.tuples == chain[:2] + (MergeTuple(IntLit(2), Not(k1), frozenset({2})),)
+        assert out.prog() == If(k0, IntLit(0), If(k1, IntLit(1), IntLit(2)))
+
+    def test_resynthesis_keeps_later_specs_out(self):
+        # k0 implies (k0 or k1), so rule 4 resynthesizes the first pair; the
+        # new conditions must stay false at specs 2 and 3, which the pair
+        # never saw
+        s = lookup_session(4)
+        k0, k1, k2 = (Atom(eq(StrLit(f"k{i}"), Var("arg0"))) for i in range(3))
+        chain = (MergeTuple(IntLit(0), k0, frozenset({0})),
+                 MergeTuple(IntLit(1), Or(k0, k1), frozenset({1})),
+                 MergeTuple(IntLit(2), k2, frozenset({2})),
+                 MergeTuple(IntLit(3), TRUE_COND, frozenset({3})))
+        body = rewrite_merge(MergeTerm(chain), s).prog()
+        assert all(s.run_body(body, spec).ok for spec in s.specs)
+
     def test_rewrite_terminates_and_is_deterministic(self, session):
         b = atom("b")
         tuples = (
@@ -371,13 +414,18 @@ class TestSynthCondition:
         assert session.stats.evaluated == evaluated
 
 
-def twin_session(blog, cfg, deadline=None):
-    """Two specs with the same setup and arguments: no term separates them."""
+def twin_session(blog, cfg, deadline=None, near=False):
+    """Two specs with the same setup and arguments: no term separates them.
+    Near twins differ only in a User row the second spec also creates,
+    which no term over Post and the argument can see."""
     ct, world = blog
     setup = [SetupStmt(call(ClassLit("Post"), "create",
                             RecordLit((("slug", StrLit("present")),))), "p")]
-    specs = tuple(mkspec(title, setup, [StrLit("present")], [TrueLit()])
-                  for title in ("first", "second"))
+    user = SetupStmt(call(ClassLit("User"), "create", RecordLit((
+        ("name", StrLit("u")), ("username", StrLit("u"))))))
+    second = setup + [user] if near else setup
+    specs = tuple(mkspec(title, rows, [StrLit("present")], [TrueLit()])
+                  for title, rows in (("first", setup), ("second", second)))
     return MergeSession(
         goal_params=(STR_T,), ret_ty=STR_T, ct=ct,
         sigma=ConstantPool(((ClassLit("Post"), ClassOf("Post")),)), world=world,
@@ -385,8 +433,16 @@ def twin_session(blog, cfg, deadline=None):
 
 
 class TestConditionBank:
+    @pytest.mark.parametrize("mode", ["full", "effects_only"])
+    def test_twins_give_none_without_evaluating(self, blog, mode):
+        s = twin_session(blog, SearchConfig(mode=mode, candidate_budget=10**6))
+        assert synth_condition(s, frozenset({0}), frozenset({1})) is None
+        assert synth_condition(s, frozenset({1}), frozenset({0})) is None
+        assert s.stats.evaluated == 0
+        assert s.bank is None
+
     def test_unseparable_sides_stop_at_the_budget(self, blog):
-        s = twin_session(blog, SearchConfig(candidate_budget=150))
+        s = twin_session(blog, SearchConfig(candidate_budget=150), near=True)
         assert synth_condition(s, frozenset({0}), frozenset({1})) is None
         # the shortlist's one battery, then the budget in the bank (which
         # would run dry only after 194 evaluations)
@@ -395,7 +451,7 @@ class TestConditionBank:
     def test_unseparable_sides_stop_at_the_deadline(self, blog):
         # without types the bank keeps finding new values for many seconds
         s = twin_session(blog, SearchConfig(mode="effects_only", candidate_budget=10**6),
-                         deadline=time.monotonic() + 0.2)
+                         deadline=time.monotonic() + 0.2, near=True)
         t0 = time.monotonic()
         assert synth_condition(s, frozenset({0}), frozenset({1})) is None
         assert time.monotonic() - t0 < 0.2 + 1.0
@@ -493,10 +549,19 @@ class TestMergeProgram:
         for spec in session.specs:
             assert session.run_body(body, spec).ok
 
-    def test_no_valid_ordering_returns_none(self, session):
-        session.cfg = SearchConfig(max_size=2, candidate_budget=60)
+    def test_merging_runs_no_spec(self, session):
+        # the driver's final gate is the one check of the merged program
         bad = MergeTuple(Call(NilLit(), "boom", ()), TRUE_COND, frozenset({0, 1}))
-        assert merge_program([bad], session) is None
+        assert merge_program([bad], session) == bad.expr
+        assert session.stats.evaluated == 0
+        assert session.orderings_tried == 1
+
+    def test_unseparable_branches_return_none(self, blog):
+        s = twin_session(blog, SearchConfig(candidate_budget=60), near=True)
+        tuples = [MergeTuple(StrLit("x"), TRUE_COND, frozenset({0})),
+                  MergeTuple(StrLit("y"), TRUE_COND, frozenset({1}))]
+        assert merge_program(tuples, s) is None
+        assert s.orderings_tried == 0
 
     def test_tuple_constructor_validates(self, session):
         with pytest.raises(ValueError):

@@ -46,3 +46,5 @@ def test_spans_cover_the_layers_and_agree_with_the_report():
     evaluations = (calls["interp.run_spec"] + calls["merge.battery"]
                    + tracer.counts["merge.guess_evals"])
     assert evaluations == report.candidates_evaluated
+    # the traced benchmark checks rewrites against the reported orderings
+    assert calls["merge.rewrite"] == report.merge_orderings_tried == 1
