@@ -63,14 +63,10 @@ def _load(path: str):
         raise SystemExit(2) from None
 
 
-def _load_program(path: str, gf) -> Program:
-    names = {"Obj", "Nil", "Bool", "Str", "Int", "Sym", "DbRecord"}
-    names |= {n for n, _ in gf.classes}
-    for s in gf.schemas:
-        names |= {s.cls, f"Relation[{s.cls}]"}
+def _load_program(path: str, ct) -> Program:
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_program_file(fh.read(), names)
+            return parse_program_file(fh.read(), set(ct.classes()))
     except (ParseError, OSError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
@@ -103,7 +99,7 @@ def _arity_mismatch(program: Program, gf) -> bool:
 
 def cmd_eval(args) -> int:
     gf, ct, world = _load(args.file)
-    program = _load_program(args.program, gf)
+    program = _load_program(args.program, ct)
     if _arity_mismatch(program, gf):
         return 2
     all_ok = True
@@ -125,7 +121,7 @@ def cmd_eval(args) -> int:
 
 def cmd_check(args) -> int:
     gf, ct, world = _load(args.file)
-    program = _load_program(args.program, gf)
+    program = _load_program(args.program, ct)
     if _arity_mismatch(program, gf):
         return 2
     env = dict(zip(program.params, gf.goal.param_types))

@@ -689,6 +689,3 @@ def _subtype(t1: TypeExpr, t2: TypeExpr, ct: ClassTable) -> bool:
 @dataclass(frozen=True)
 class ConstantPool:
     entries: tuple[tuple[Expr, TypeExpr], ...] = ()
-
-
-EMPTY_CONSTANTS = ConstantPool()

@@ -94,7 +94,7 @@ def synthesize(goal: Goal, ct: ClassTable, world: World,
     deadline = None if cfg.timeout_s is None else t0 + cfg.timeout_s
     ct = erase_table(ct, cfg.precision)
     session = MergeSession(
-        goal_params=goal.param_types, ret_ty=goal.ret, ct=ct,
+        goal_params=goal.param_types, ct=ct,
         sigma=goal.constants, world=world, cfg=cfg, specs=goal.specs,
         deadline=deadline,
     )

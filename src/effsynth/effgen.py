@@ -15,7 +15,7 @@ from typing import Optional
 from .core import (
     Call, ClassStar, ClassTable, Effect, EffectHole, EffectPair, Expr,
     HolePath, Let, MethodSig, NilLit, Region, Seq, SelfRegion, SelfStar,
-    Star, TypedHole, TypeExpr, canon_effect, eff_subsumes, is_complete,
+    Star, TypedHole, TypeExpr, canon_effect, eff_subsumes,
     resolve_self, type_key, walk,
 )
 from .typegen import FULL_RULES, Product, RuleConfig, TypeEnv, fill_leftmost
@@ -32,7 +32,6 @@ def _fresh_let_var(e: Expr) -> str:
 def wrap_effect_hole(e: Expr, err_eff: EffectPair, ty: TypeExpr) -> Expr:
     """Bind the failed candidate and sequence an effect hole carrying the
     failure's read component before a typed hole of the candidate's type."""
-    assert is_complete(e)
     var = _fresh_let_var(e)
     return Let(var, e, Seq(EffectHole(err_eff.read), TypedHole(ty)))
 

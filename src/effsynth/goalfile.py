@@ -34,7 +34,7 @@ from .core import (
 )
 from .driver import Goal, Program
 from .interp import RESULT_VAR, SetupStmt, Spec
-from .runtime import SchemaDecl, World, install_core_methods, install_schema
+from .runtime import SchemaDecl, World, install_core_methods, install_schema, relation_class
 from .sexp import ParseError, SExp, SInt, SList, SStr, Sym, parse_sexps, write_sexp
 from .typegen import TypeCheckError, typecheck
 
@@ -391,7 +391,7 @@ def parse_goal_file(text: str) -> GoalFile:
             if name in class_names:
                 raise _err(fl, f"class {name} already declared")
             class_names.add(name)
-            class_names.add(f"Relation[{name}]")
+            class_names.add(relation_class(name))
         elif head == "method":
             method_forms.append(fl)
         elif head == "constants":

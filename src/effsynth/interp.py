@@ -21,7 +21,7 @@ from typing import Optional, Union
 from .core import (
     Atom, Call, ClassLit, ClassOf, ClassT, ClassTable, Cond, DefinitionError,
     EffectPair, Expr, FalseLit, If, IntLit, Let, NilLit, Not, Or, PURE_PAIR,
-    RecordLit, Seq, StrLit, SymLit, TrueLit, Var, is_complete, pair_union,
+    RecordLit, Seq, StrLit, SymLit, TrueLit, Var, pair_union,
     resolve_self_pair,
 )
 from .runtime import (
@@ -180,8 +180,8 @@ class Evaluator:
 
 def eval_expr(env: dict[str, RuntimeValue], world: World, ct: ClassTable,
               e: Expr) -> RuntimeValue:
-    """Evaluate a complete expression; raises RuntimeError_ on failure."""
-    assert is_complete(e), "cannot evaluate a candidate with holes"
+    """Evaluate an expression; raises RuntimeError_ on failure, with kind
+    not-evaluable on a hole."""
     return Evaluator(world, ct).eval(env, e)
 
 
@@ -238,7 +238,6 @@ def run_spec(body: Expr, goal_arity: int, spec: Spec, world: World,
     resolved effect pairs; a truthy value bumps the pass counter and clears
     the accumulator, a falsy value stops with the accumulated pair.
     """
-    assert is_complete(body)
     if start is None:
         start = spec_start(spec, goal_arity, world, ct)
     if start.error is not None:

@@ -8,11 +8,13 @@ expressions, fold boolean branches back into their conditions, and guess
 negated conditions when the tests confirm them. Merging builds one decision
 list, as EUSolver's decision-tree unification does, and simplifies it once.
 
-Condition synthesis answers from one bank per merge session: write-pure
-terms over the goal's arguments, enumerated bottom-up by size and kept one
-per observational class, i.e. per static type and results at the goal's
-spec starts. Every condition search of the session reads the same bank and
-grows it only when no kept term separates its specs.
+Condition synthesis answers only from one bank per merge session:
+write-pure terms over the goal's arguments, enumerated bottom-up by size and
+kept one per observational class, i.e. per static type and results at the
+goal's spec starts. Results are the runtime values the evaluator returns;
+a relation is the value of its rows, so results of separate evaluations
+compare directly. Every condition search of the session reads the same bank
+and grows it only when no kept term separates its specs.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .core import (
     alpha_key, subtype,
 )
 from .interp import Evaluator, Spec, SpecResult, SpecStart, run_spec, spec_start
-from .runtime import Checkpoint, ObjV, RecordV, RuntimeError_, RuntimeValue, World, truthy
+from .runtime import RuntimeError_, World, truthy
 from .sat import implies_valid
 from .search import SearchConfig, SearchStats
 from .typegen import TypeCheckError, TypeEnv, node_type
@@ -131,13 +133,11 @@ class MergeSession:
     """Everything condition synthesis and merging need to run and count."""
 
     goal_params: tuple[TypeExpr, ...]
-    ret_ty: TypeExpr
     ct: ClassTable
     sigma: ConstantPool
     world: World
     cfg: SearchConfig
     specs: tuple[Spec, ...]
-    cond_cache: list[Cond] = field(default_factory=list)
     cond_memo: dict = field(default_factory=dict)
     stats: SearchStats = field(default_factory=SearchStats)
     orderings_tried: int = 0  # 1 once the decision list has been rewritten
@@ -197,19 +197,6 @@ class _Error:
 ERR = _Error()
 
 
-def _content(world: World, cp: Checkpoint, v: RuntimeValue) -> object:
-    """v as a per-start result. A relation handle made by the evaluation is
-    numbered by a per-evaluation counter, so two handles over the same rows
-    share an id only by accident; the result gives such a handle as its
-    class and row ids instead. Handles that exist at the start keep their
-    identity."""
-    if isinstance(v, ObjV) and v.obj_id in world.relations and v.obj_id not in cp.relations:
-        return world.relations[v.obj_id]
-    if isinstance(v, RecordV):
-        return RecordV(tuple((k, _content(world, cp, x)) for k, x in v.pairs))
-    return v
-
-
 def _at_start(session: MergeSession, term, spec: Spec) -> object:
     """A condition's truth, or a complete expression's value, at a spec's
     start in the goal's argument scope; ERR if a runtime error is raised,
@@ -217,13 +204,12 @@ def _at_start(session: MergeSession, term, spec: Spec) -> object:
     start = session.start(spec)
     if start.error is not None:
         return ERR
-    world = session.world
-    world.restore(start.checkpoint)
-    ev = Evaluator(world, session.ct)
+    session.world.restore(start.checkpoint)
+    ev = Evaluator(session.world, session.ct)
     try:
         if isinstance(term, (Atom, Not, Or)):
             return ev.eval_cond(start.param_env(), term)
-        return _content(world, start.checkpoint, ev.eval(start.param_env(), term))
+        return ev.eval(start.param_env(), term)
     except RuntimeError_:
         return ERR
 
@@ -246,41 +232,23 @@ def _battery(session: MergeSession, term, specs) -> tuple:
 def synth_condition(session: MergeSession, true_ids: frozenset[int],
                     false_ids: frozenset[int]) -> Optional[Cond]:
     """A condition truthy at every true-spec start and falsy at every
-    false-spec start, or None. Overlapping sides have none, nor do twins:
-    specs whose starts have equal arguments and worlds. Tries true,
-    previously synthesized conditions and their negations first, then asks
-    the session's condition bank for its first Bool term that fits."""
+    false-spec start, or None: the first Bool term of the session's
+    condition bank that fits. An empty false side needs no condition.
+    Overlapping sides have none, nor do twins: specs whose starts have
+    equal arguments and worlds."""
+    if not false_ids:
+        return TRUE_COND
     memo_key = (tuple(sorted(true_ids)), tuple(sorted(false_ids)))
     if memo_key in session.cond_memo:
         return session.cond_memo[memo_key]
     if session.expired() or true_ids & false_ids:
         return None
-    ids = memo_key[0] + memo_key[1]
-    specs = [session.specs[i] for i in ids]
+    specs = [session.specs[i] for i in memo_key[0] + memo_key[1]]
     starts = [(st.args, st.checkpoint) for st in map(session.start, specs)]
     if any(st in starts[len(true_ids):] for st in starts[:len(true_ids)]):
         return None
-    wants = (True,) * len(true_ids) + (False,) * len(false_ids)
-
-    shortlist: list[Cond] = [TRUE_COND]
-    shortlist += list(session.cond_cache)
-    shortlist += [canon_not(c) for c in session.cond_cache]
-    tried = set()
-    for cand in shortlist:
-        key = cond_key(cand)
-        if key in tried:
-            continue
-        tried.add(key)
-        if _battery(session, cand, specs) == wants:
-            session.cond_memo[memo_key] = cand
-            return cand
-    if session.expired():
-        return None
-
     found = search(session, true_ids, false_ids)
     cond = Atom(found) if found is not None else None
-    if cond is not None and not any(cond_eq(cond, c) for c in session.cond_cache):
-        session.cond_cache.append(cond)
     session.cond_memo[memo_key] = cond
     return cond
 

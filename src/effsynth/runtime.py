@@ -1,9 +1,15 @@
-"""Runtime values, the mutable world, and the minidb record-store library.
+"""Runtime values, the world, and the minidb record-store library.
 
 Schemas generate typed and effect-annotated method signatures: per-column
 readers carry a column read region, writers the matching write region, and
 the class-side query methods (create / exists? / where / first) carry self
 effects that resolve to the receiving class at call sites.
+
+The world's state is values: a row is never changed in place (a column
+write replaces the row), and a `where` result is a relation value carrying
+the ids of the rows it matched. A checkpoint therefore copies only each
+table's id-to-row dict, and values made by one evaluation compare equal to
+those of another exactly when they denote the same rows.
 """
 
 from __future__ import annotations
@@ -68,6 +74,14 @@ class ObjV:
 
 
 @dataclass(frozen=True)
+class RelationV:
+    """The rows of class cls that a `where` matched, by ascending id."""
+
+    cls: str
+    ids: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class RecordV:
     pairs: tuple[tuple[str, "RuntimeValue"], ...]  # key-sorted
 
@@ -78,7 +92,7 @@ class RecordV:
         return None
 
 
-RuntimeValue = Union[NilV, BoolV, IntV, StrV, SymV, ClassV, ObjV, RecordV]
+RuntimeValue = Union[NilV, BoolV, IntV, StrV, SymV, ClassV, ObjV, RelationV, RecordV]
 
 NIL_V = NilV()
 TRUE_V = BoolV(True)
@@ -106,6 +120,8 @@ def runtime_class_of(v: RuntimeValue) -> str:
         return v.cls
     if isinstance(v, ClassV):
         return v.name
+    if isinstance(v, RelationV):
+        return relation_class(v.cls)
     if isinstance(v, NilV):
         return "Nil"
     raise RuntimeError_("no-class", f"value {v!r} has no runtime class")
@@ -150,52 +166,32 @@ Tables = dict[str, dict[int, dict[str, RuntimeValue]]]
 
 
 def _copy_tables(tables: Tables) -> Tables:
-    """Rows are the only mutable part of a table; values are immutable."""
-    return {cls: {i: dict(row) for i, row in tbl.items()} for cls, tbl in tables.items()}
+    """Rows are never changed in place, so a copy shares them."""
+    return {cls: dict(tbl) for cls, tbl in tables.items()}
 
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """A copy of a World's mutable state, taken by World.checkpoint."""
+    """A copy of a World's state, taken by World.checkpoint."""
 
     tables: Tables
-    relations: dict[int, tuple[str, tuple[int, ...]]]
-    globals: dict[str, RuntimeValue]
     next_id: int
-    next_rel_id: int
 
 
 class World:
-    """Single-owner mutable state: per-schema row tables plus globals.
-
-    Relation handles get ids from a separate (negative) counter so creating a
-    relation never perturbs the row-id sequence.
-    """
+    """Single-owner state: per-schema row tables and the next row id."""
 
     def __init__(self, schemas: dict[str, SchemaDecl]) -> None:
         self.schemas = dict(schemas)
-        self.tables: Tables = {}
-        self.globals: dict[str, RuntimeValue] = {}
-        self.relations: dict[int, tuple[str, tuple[int, ...]]] = {}
-        self.next_id = 1
-        self._next_rel_id = -1
         self.reset()
 
     def reset(self) -> None:
-        self.tables = {cls: {} for cls in self.schemas}
-        self.globals = {}
-        self.relations = {}
+        self.tables: Tables = {cls: {} for cls in self.schemas}
         self.next_id = 1
-        self._next_rel_id = -1
 
     def fresh_id(self) -> int:
         out = self.next_id
         self.next_id += 1
-        return out
-
-    def fresh_relation_id(self) -> int:
-        out = self._next_rel_id
-        self._next_rel_id -= 1
         return out
 
     def row_count(self, cls: str) -> int:
@@ -205,17 +201,13 @@ class World:
         return _copy_tables(self.tables)
 
     def checkpoint(self) -> Checkpoint:
-        return Checkpoint(self.snapshot(), dict(self.relations), dict(self.globals),
-                          self.next_id, self._next_rel_id)
+        return Checkpoint(self.snapshot(), self.next_id)
 
     def restore(self, cp: Checkpoint) -> None:
         """Put the world back into the state `cp` was taken in; the
         checkpoint stays untouched, so it can be restored again."""
         self.tables = _copy_tables(cp.tables)
-        self.relations = dict(cp.relations)
-        self.globals = dict(cp.globals)
         self.next_id = cp.next_id
-        self._next_rel_id = cp.next_rel_id
 
 
 # ---------------------------------------------------------------------------
@@ -324,21 +316,14 @@ def _native_exists(world, sig, recv, args):
 def _native_where(world, sig, recv, args):
     schema = _schema_for(world, recv)
     rec = _record_arg(args)
-    ids = tuple(sorted(
-        oid for oid, row in world.tables[schema.cls].items() if _matches(row, rec)
-    ))
-    rid = world.fresh_relation_id()
-    world.relations[rid] = (schema.cls, ids)
-    return ObjV(relation_class(schema.cls), rid)
+    return RelationV(schema.cls, tuple(sorted(
+        oid for oid, row in world.tables[schema.cls].items() if _matches(row, rec))))
 
 
 def _native_first(world, sig, recv, args):
-    if not isinstance(recv, ObjV) or recv.obj_id not in world.relations:
+    if not isinstance(recv, RelationV):
         raise RuntimeError_("bad-receiver", f"not a relation: {recv!r}")
-    cls, ids = world.relations[recv.obj_id]
-    if not ids:
-        return NIL_V
-    return ObjV(cls, ids[0])
+    return ObjV(recv.cls, recv.ids[0]) if recv.ids else NIL_V
 
 
 def _native_eq(world, sig, recv, args):
@@ -380,7 +365,7 @@ def invoke_native(world: World, sig: MethodSig, recv: RuntimeValue,
             raise RuntimeError_("arity", f"{col}= takes one argument")
         if col not in row:
             raise RuntimeError_("missing-column", f"{cls}.{col}")
-        row[col] = args[0]
+        world.tables[cls][recv.obj_id] = {**row, col: args[0]}
         return args[0]
     fn = _NATIVES.get(sig.native)
     if fn is None:

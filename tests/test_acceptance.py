@@ -360,7 +360,7 @@ def test_criterion_7_rewrite_rules(blog):
         Spec("spec-without-row", (), (StrLit("absent"),), (tautology,)),
     )
     session = MergeSession(
-        goal_params=(STR_T,), ret_ty=STR_T, ct=ct, sigma=sigma, world=world,
+        goal_params=(STR_T,), ct=ct, sigma=sigma, world=world,
         cfg=SearchConfig(max_size=6, candidate_budget=2000), specs=specs,
     )
     b, c = Atom(Var("b")), Atom(Var("c"))

@@ -1,9 +1,13 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and the library defines none
+that nothing uses.
 
 An `ast` scan over the library (`src/effsynth/*.py`, apart from the
 package's `__init__.py` re-exports) and the tests: every name an import
 binds must be read somewhere in the same file, in code or in a string
-annotation.
+annotation. A second scan: every module-level name the library defines must
+be referenced somewhere in `src/`, `tests/` or `benchmark/`, as a name, an
+attribute, an imported name or a string naming it (the tracer patches
+attributes by name).
 """
 
 import ast
@@ -12,9 +16,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "effsynth").glob("*.py"))
 FILES = sorted(
-    [p for p in (ROOT / "src" / "effsynth").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py")))
+    [p for p in LIBRARY if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py")))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -65,3 +69,47 @@ def test_every_imported_name_is_used(path):
 def test_scan_sees_an_unused_import():
     tree = ast.parse("from x import a, b\nimport c.d\n\ndef f(y: 'a') -> None:\n    c\n")
     assert sorted(set(_imported(tree)) - _used(tree)) == ["b"]
+
+
+def _defined(tree: ast.Module) -> dict[str, int]:
+    """Module-level name -> line of its def, class or assignment."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        out[n.id] = node.lineno
+    return out
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.split(".")[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            out.add(n.value)
+    return out
+
+
+def test_every_library_name_is_referenced():
+    referenced = set()
+    for d in ("src", "tests", "benchmark"):
+        for path in (ROOT / d).rglob("*.py"):
+            referenced |= _referenced(ast.parse(path.read_text(encoding="utf-8")))
+    unused = sorted(f"{path.name}:{line} {name}" for path in LIBRARY
+                    for name, line in _defined(ast.parse(path.read_text(encoding="utf-8"))).items()
+                    if name not in referenced)
+    assert not unused, f"names nothing references: {', '.join(unused)}"
+
+
+def test_scan_sees_an_unreferenced_name():
+    tree = ast.parse("A = 1\nB: int = 2\n\ndef f():\n    return g.B\n\nclass C:\n    x = 'f'\n")
+    assert sorted(set(_defined(tree)) - _referenced(tree)) == ["A", "C"]

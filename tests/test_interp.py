@@ -2,7 +2,7 @@ import pytest
 
 from effsynth.core import (
     Atom, Call, ClassLit, Effect, FalseLit, If, IntLit, Let, NilLit, PURE_PAIR,
-    RecordLit, Region, Seq, StrLit, TrueLit, Var,
+    RecordLit, Region, Seq, StrLit, TrueLit, TypedHole, Var,
 )
 from pathlib import Path
 
@@ -253,6 +253,30 @@ class TestSpecStart:
         assert world.tables["Post"][1]["title"] == StrV("changed")
         assert start.checkpoint.tables["Post"][1]["title"] == StrV("t")
         assert run_spec(NilLit(), 0, spec, world, ct, start).ok
+
+    def test_setup_relation_answers_first_after_restores(self, blog):
+        # a relation bound by the setup carries its rows, so it still finds
+        # them after runs that wrote and created rows were rolled back
+        ct, world = blog
+        post = ClassLit("Post")
+        setup = [SetupStmt(call(post, "create", RecordLit((("slug", StrLit("s")),))), "p"),
+                 SetupStmt(call(post, "where", RecordLit((("slug", StrLit("s")),))), "r")]
+        spec = mkspec(setup, [Var("r")], [eq(Var("x_r"), Var("p"))])
+        start = spec_start(spec, 1, world, ct)
+        first = call(Var("arg0"), "first")
+        writes = Seq(call(first, "slug=", StrLit("moved")),
+                     call(post, "create", RecordLit((("slug", StrLit("s")),))))
+        for body in (first, writes, first):
+            res = run_spec(body, 1, spec, world, ct, start)
+            assert res.ok == (body is first)
+        assert res.outcome == Ok(start.env["p"])
+
+    def test_hole_is_not_evaluable(self, blog):
+        ct, world = blog
+        spec = mkspec([], [], [TrueLit()])
+        body = Seq(NilLit(), TypedHole(STR_T))
+        assert run_spec(body, 0, spec, world, ct) == SpecResult(
+            0, RuntimeErr("not-evaluable", "cannot evaluate TypedHole"))
 
     def test_setup_error(self, blog):
         ct, world = blog

@@ -163,7 +163,7 @@ def session(blog):
                [eq(Var("x_r"), Var("x_r"))]),
     )
     return MergeSession(
-        goal_params=(STR_T,), ret_ty=STR_T, ct=ct, sigma=sigma, world=world,
+        goal_params=(STR_T,), ct=ct, sigma=sigma, world=world,
         cfg=SearchConfig(max_size=6, candidate_budget=300),
         specs=specs,
     )
@@ -174,7 +174,7 @@ def lookup_session(n):
     gf = parse_goal_file(lookup_goal_text(n))
     ct, world = build(gf)
     return MergeSession(
-        goal_params=gf.goal.param_types, ret_ty=gf.goal.ret, ct=ct,
+        goal_params=gf.goal.param_types, ct=ct,
         sigma=gf.goal.constants, world=world, cfg=SearchConfig(), specs=gf.goal.specs)
 
 
@@ -223,8 +223,8 @@ class TestRewriteRules:
     def test_rule4_falls_back_when_unseparable(self, session):
         # same setups in both specs make separation impossible
         session = MergeSession(
-            goal_params=session.goal_params, ret_ty=session.ret_ty,
-            ct=session.ct, sigma=session.sigma, world=session.world,
+            goal_params=session.goal_params, ct=session.ct,
+            sigma=session.sigma, world=session.world,
             cfg=SearchConfig(max_size=2, candidate_budget=60),
             specs=(session.specs[1], session.specs[1]),
         )
@@ -344,7 +344,7 @@ _TUPLES = st.lists(st.builds(
 def test_rewrite_merge_terminates_on_random_chains(session, tuples):
     # a fresh session per chain; the deadline only bounds a failing run
     fresh = MergeSession(
-        goal_params=session.goal_params, ret_ty=session.ret_ty, ct=session.ct,
+        goal_params=session.goal_params, ct=session.ct,
         sigma=session.sigma, world=session.world,
         cfg=SearchConfig(max_size=2, candidate_budget=60), specs=session.specs,
         deadline=time.monotonic() + 10.0,
@@ -384,15 +384,22 @@ class TestSynthCondition:
     def test_empty_false_side_returns_true(self, session):
         cond = synth_condition(session, frozenset({0}), frozenset())
         assert cond == TRUE_COND
+        assert session.stats.evaluated == 0
 
     def test_separating_condition_found(self, session):
         cond = synth_condition(session, frozenset({0}), frozenset({1}))
         assert cond is not None and cond != TRUE_COND
 
-    def test_negation_shortlist_reused(self, session):
+    def test_backward_condition_is_a_bank_term(self, session):
+        # the bank is the only source of conditions: the backward condition
+        # is not the forward one negated but a kept Bool term of its own
         forward = synth_condition(session, frozenset({0}), frozenset({1}))
         backward = synth_condition(session, frozenset({1}), frozenset({0}))
-        assert cond_eq(backward, canon_not(forward))
+        assert isinstance(backward, Atom)
+        assert any(backward.expr == expr for expr, _ in session.bank.conds)
+        assert backward != forward
+        assert _cond_holds(session, backward, session.specs[1], True)
+        assert _cond_holds(session, backward, session.specs[0], False)
 
     def test_contradiction_unsolvable(self, session):
         session.cfg = SearchConfig(max_size=2, candidate_budget=60)
@@ -427,7 +434,7 @@ def twin_session(blog, cfg, deadline=None, near=False):
     specs = tuple(mkspec(title, rows, [StrLit("present")], [TrueLit()])
                   for title, rows in (("first", setup), ("second", second)))
     return MergeSession(
-        goal_params=(STR_T,), ret_ty=STR_T, ct=ct,
+        goal_params=(STR_T,), ct=ct,
         sigma=ConstantPool(((ClassLit("Post"), ClassOf("Post")),)), world=world,
         cfg=cfg, specs=specs, deadline=deadline)
 
@@ -444,9 +451,9 @@ class TestConditionBank:
     def test_unseparable_sides_stop_at_the_budget(self, blog):
         s = twin_session(blog, SearchConfig(candidate_budget=150), near=True)
         assert synth_condition(s, frozenset({0}), frozenset({1})) is None
-        # the shortlist's one battery, then the budget in the bank (which
-        # would run dry only after 194 evaluations)
-        assert s.stats.evaluated == 1 + 150
+        # the budget in the bank, which would run dry only after 194
+        # evaluations
+        assert s.stats.evaluated == 150
 
     def test_unseparable_sides_stop_at_the_deadline(self, blog):
         # without types the bank keeps finding new values for many seconds
@@ -458,8 +465,9 @@ class TestConditionBank:
         assert s.expired()
 
     def test_relations_are_keyed_by_their_rows(self, blog):
-        # where-handles are numbered per evaluation, so both queries below
-        # return the handle -1; only their row sets tell them apart
+        # a relation is the value of the rows it matched: queries over the
+        # same rows, also one made by the setup, are one value, and queries
+        # over different rows are kept apart
         ct, world = blog
         post = ClassLit("Post")
         setup = [SetupStmt(call(post, "create", RecordLit((("slug", StrLit(t)),))))
@@ -468,7 +476,7 @@ class TestConditionBank:
         spec = mkspec("two-posts", setup, [StrLit("a"), Var("r")], [TrueLit()])
         rel = ClassT(relation_class("Post"))
         s = MergeSession(
-            goal_params=(STR_T, rel), ret_ty=STR_T, ct=ct,
+            goal_params=(STR_T, rel), ct=ct,
             sigma=ConstantPool(((post, ClassOf("Post")),)), world=world,
             cfg=SearchConfig(), specs=(spec,))
         bank = ConditionBank(s)
@@ -479,13 +487,10 @@ class TestConditionBank:
         kept = [bank.admit(e, rel) for e in (by_slug, every, same_rows, Var("arg1"))]
         assert kept[0].expr == by_slug and kept[1].expr == every
         assert kept[0].results != kept[1].results
-        # the same rows are the same relation
         assert kept[2] is kept[0]
-        # a handle made by the setup has an identity a fresh one lacks:
-        # (arg1 == arg1) holds, (every == arg1) does not
-        assert kept[3].expr == Var("arg1") and kept[3] is not kept[1]
-        assert _battery(s, Atom(eq(Var("arg1"), Var("arg1"))), s.specs) == (True,)
-        assert _battery(s, Atom(eq(every, Var("arg1"))), s.specs) == (False,)
+        assert kept[3] is kept[1]
+        assert _battery(s, Atom(eq(every, Var("arg1"))), s.specs) == (True,)
+        assert _battery(s, Atom(eq(by_slug, Var("arg1"))), s.specs) == (False,)
 
 
 def substitute(e, old, new):
@@ -502,7 +507,7 @@ def test_dropped_terms_are_interchangeable_with_their_representatives(goal):
     term, leaves that term's per-start results unchanged."""
     gf, ct, world = load_goal_file(f"goals/{goal}.goal")
     s = MergeSession(
-        goal_params=gf.goal.param_types, ret_ty=gf.goal.ret, ct=ct,
+        goal_params=gf.goal.param_types, ct=ct,
         sigma=gf.goal.constants, world=world, cfg=SearchConfig(),
         specs=gf.goal.specs)
     bank = ConditionBank(s)

@@ -73,6 +73,21 @@ class TestWorld:
         world.reset()
         assert (world.snapshot(), world.next_id) == snap1
 
+    def test_restore_shares_rows_and_writes_replace_them(self, blog):
+        ct, world = blog
+        create = sig_of(ct, ClassOf("Post"), "create")
+        set_title = sig_of(ct, ClassT("Post"), "title=")
+        obj = invoke_native(world, create, ClassV("Post"), (record_v({"title": StrV("t")}),))
+        cp = world.checkpoint()
+        for _ in range(2):
+            world.restore(cp)
+            for cls, table in cp.tables.items():
+                assert world.tables[cls] is not table
+                assert all(world.tables[cls][i] is row for i, row in table.items())
+            invoke_native(world, set_title, obj, (StrV("new"),))
+            assert world.tables["Post"][obj.obj_id]["title"] == StrV("new")
+            assert cp.tables["Post"][obj.obj_id]["title"] == StrV("t")
+
     def test_epoch_restart_reuses_ids(self, blog):
         ct, world = blog
         create = sig_of(ct, ClassOf("Post"), "create")
