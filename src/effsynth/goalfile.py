@@ -52,12 +52,18 @@ def _err(node: SExp, msg: str) -> ParseError:
     return ParseError(msg, getattr(node, "line", 0), getattr(node, "col", 0))
 
 
+def _head(node: SExp) -> str | None:
+    """The name of a list's head symbol; None for atoms, () and other heads."""
+    if isinstance(node, SList) and node.items and isinstance(node.items[0], Sym):
+        return node.items[0].name
+    return None
+
+
 def _expect_list(node: SExp, head: str | None = None) -> SList:
     if not isinstance(node, SList):
         raise _err(node, f"expected a list{' starting with ' + head if head else ''}")
-    if head is not None:
-        if not node.items or node.items[0] != Sym(head):
-            raise _err(node, f"expected ({head} ...)")
+    if head is not None and _head(node) != head:
+        raise _err(node, f"expected ({head} ...)")
     return node
 
 
@@ -76,34 +82,33 @@ def parse_type(node: SExp, class_names: set[str]) -> TypeExpr:
         if node.name not in class_names:
             raise _err(node, f"unknown class {node.name}")
         return ClassT(node.name)
-    if isinstance(node, SList) and node.items:
-        head = node.items[0]
-        if head == Sym("class-of"):
-            if len(node.items) != 2:
-                raise _err(node, "(class-of NAME)")
-            return ClassOf(parse_type(node.items[1], class_names).name)
-        if head == Sym("u"):
-            if len(node.items) < 3:
-                raise _err(node, "(u TYPE TYPE...)")
-            return union_of(*(parse_type(i, class_names) for i in node.items[1:]))
-        if head == Sym("record"):
-            fields = []
-            for f in node.items[1:]:
-                fl = _expect_list(f)
-                if len(fl.items) not in (2, 3):
-                    raise _err(f, "(NAME TYPE) or (NAME TYPE opt)")
-                name = _expect_sym(fl.items[0], "a field name")
-                ty = parse_type(fl.items[1], class_names)
-                opt = False
-                if len(fl.items) == 3:
-                    if fl.items[2] != Sym("opt"):
-                        raise _err(fl.items[2], "only 'opt' may follow a field type")
-                    opt = True
-                fields.append((name, opt, ty))
-            try:
-                return record_of(fields)
-            except DefinitionError as exc:
-                raise _err(node, str(exc)) from None
+    head = _head(node)
+    if head == "class-of":
+        if len(node.items) != 2:
+            raise _err(node, "(class-of NAME)")
+        return ClassOf(parse_type(node.items[1], class_names).name)
+    if head == "u":
+        if len(node.items) < 3:
+            raise _err(node, "(u TYPE TYPE...)")
+        return union_of(*(parse_type(i, class_names) for i in node.items[1:]))
+    if head == "record":
+        fields = []
+        for f in node.items[1:]:
+            fl = _expect_list(f)
+            if len(fl.items) not in (2, 3):
+                raise _err(f, "(NAME TYPE) or (NAME TYPE opt)")
+            name = _expect_sym(fl.items[0], "a field name")
+            ty = parse_type(fl.items[1], class_names)
+            opt = False
+            if len(fl.items) == 3:
+                if not isinstance(fl.items[2], Sym) or fl.items[2].name != "opt":
+                    raise _err(fl.items[2], "only 'opt' may follow a field type")
+                opt = True
+            fields.append((name, opt, ty))
+        try:
+            return record_of(fields)
+        except DefinitionError as exc:
+            raise _err(node, str(exc)) from None
     raise _err(node, "expected a type")
 
 
@@ -135,7 +140,7 @@ def parse_effect(node: SExp, class_names: set[str]) -> Effect:
     if isinstance(node, Sym):
         a = atom(node)
         return Effect(() if a is None else (a,))
-    if isinstance(node, SList) and node.items and node.items[0] == Sym("u"):
+    if _head(node) == "u":
         atoms = []
         for sub in node.items[1:]:
             atoms.extend(parse_effect(sub, class_names).atoms)
@@ -162,63 +167,62 @@ def parse_expr(node: SExp, class_names: set[str]) -> Expr:
         if node.name in class_names:
             return ClassLit(node.name)
         return Var(node.name)
-    if isinstance(node, SList) and node.items:
-        head = node.items[0]
-        if head == Sym("sym"):
-            if len(node.items) != 2:
-                raise _err(node, "(sym NAME)")
-            return SymLit(_expect_sym(node.items[1], "a symbol name"))
-        if head == Sym("call"):
-            if len(node.items) < 3:
-                raise _err(node, "(call RECV METHOD ARG...)")
-            recv = parse_expr(node.items[1], class_names)
-            method = _expect_sym(node.items[2], "a method name")
-            args = tuple(parse_expr(a, class_names) for a in node.items[3:])
-            return Call(recv, method, args)
-        if head == Sym("seq"):
-            if len(node.items) != 3:
-                raise _err(node, "(seq EXPR EXPR)")
-            return Seq(parse_expr(node.items[1], class_names),
-                       parse_expr(node.items[2], class_names))
-        if head == Sym("let"):
-            if len(node.items) != 4:
-                raise _err(node, "(let NAME EXPR EXPR)")
-            var = _expect_sym(node.items[1], "a variable name")
-            return Let(var, parse_expr(node.items[2], class_names),
-                       parse_expr(node.items[3], class_names))
-        if head == Sym("if"):
-            if len(node.items) != 4:
-                raise _err(node, "(if COND EXPR EXPR)")
-            return If(parse_cond(node.items[1], class_names),
-                      parse_expr(node.items[2], class_names),
-                      parse_expr(node.items[3], class_names))
-        if head == Sym("record"):
-            pairs = []
-            seen = set()
-            for p in node.items[1:]:
-                pl = _expect_list(p)
-                if len(pl.items) != 2:
-                    raise _err(p, "(NAME EXPR)")
-                k = _expect_sym(pl.items[0], "a field name")
-                if k in seen:
-                    raise _err(p, f"duplicate record key {k}")
-                seen.add(k)
-                pairs.append((k, parse_expr(pl.items[1], class_names)))
-            return RecordLit(tuple(pairs))
+    head = _head(node)
+    if head == "sym":
+        if len(node.items) != 2:
+            raise _err(node, "(sym NAME)")
+        return SymLit(_expect_sym(node.items[1], "a symbol name"))
+    if head == "call":
+        if len(node.items) < 3:
+            raise _err(node, "(call RECV METHOD ARG...)")
+        recv = parse_expr(node.items[1], class_names)
+        method = _expect_sym(node.items[2], "a method name")
+        args = tuple(parse_expr(a, class_names) for a in node.items[3:])
+        return Call(recv, method, args)
+    if head == "seq":
+        if len(node.items) != 3:
+            raise _err(node, "(seq EXPR EXPR)")
+        return Seq(parse_expr(node.items[1], class_names),
+                   parse_expr(node.items[2], class_names))
+    if head == "let":
+        if len(node.items) != 4:
+            raise _err(node, "(let NAME EXPR EXPR)")
+        var = _expect_sym(node.items[1], "a variable name")
+        return Let(var, parse_expr(node.items[2], class_names),
+                   parse_expr(node.items[3], class_names))
+    if head == "if":
+        if len(node.items) != 4:
+            raise _err(node, "(if COND EXPR EXPR)")
+        return If(parse_cond(node.items[1], class_names),
+                  parse_expr(node.items[2], class_names),
+                  parse_expr(node.items[3], class_names))
+    if head == "record":
+        pairs = []
+        seen = set()
+        for p in node.items[1:]:
+            pl = _expect_list(p)
+            if len(pl.items) != 2:
+                raise _err(p, "(NAME EXPR)")
+            k = _expect_sym(pl.items[0], "a field name")
+            if k in seen:
+                raise _err(p, f"duplicate record key {k}")
+            seen.add(k)
+            pairs.append((k, parse_expr(pl.items[1], class_names)))
+        return RecordLit(tuple(pairs))
     raise _err(node, "expected an expression")
 
 
 def parse_cond(node: SExp, class_names: set[str]) -> Cond:
-    if isinstance(node, SList) and node.items:
-        if node.items[0] == Sym("not"):
-            if len(node.items) != 2:
-                raise _err(node, "(not COND)")
-            return Not(parse_cond(node.items[1], class_names))
-        if node.items[0] == Sym("or"):
-            if len(node.items) != 3:
-                raise _err(node, "(or COND COND)")
-            return Or(parse_cond(node.items[1], class_names),
-                      parse_cond(node.items[2], class_names))
+    head = _head(node)
+    if head == "not":
+        if len(node.items) != 2:
+            raise _err(node, "(not COND)")
+        return Not(parse_cond(node.items[1], class_names))
+    if head == "or":
+        if len(node.items) != 3:
+            raise _err(node, "(or COND COND)")
+        return Or(parse_cond(node.items[1], class_names),
+                  parse_cond(node.items[2], class_names))
     return Atom(parse_expr(node, class_names))
 
 
@@ -304,7 +308,7 @@ def _parse_spec(form: SList, class_names: set[str]) -> Spec:
     call_args = tuple(parse_expr(a, class_names) for a in call_list.items[1:])
     stmts = []
     for s in stmt_nodes:
-        if isinstance(s, SList) and s.items and s.items[0] == Sym("bind"):
+        if _head(s) == "bind":
             if len(s.items) != 3:
                 raise _err(s, "(bind NAME EXPR)")
             var = _expect_sym(s.items[1], "a variable name")
@@ -368,9 +372,9 @@ def parse_goal_file(text: str) -> GoalFile:
     class_names = {"Obj", "Nil", "Bool", "Str", "Int", "Sym", "DbRecord"}
     for form in forms:
         fl = _expect_list(form)
-        if not fl.items or not isinstance(fl.items[0], Sym):
+        head = _head(fl)
+        if head is None:
             raise _err(form, "expected a declaration")
-        head = fl.items[0].name
         if head == "class":
             name = _expect_sym(fl.items[1], "a class name")
             parent = "Obj"

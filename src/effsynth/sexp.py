@@ -1,13 +1,14 @@
 """S-expression reader and writer for the goal-file surface syntax.
 
 Atoms are symbols, integers, and double-quoted strings; ';' starts a comment
-running to end of line. Every node carries its source position for error
-reporting.
+running to end of line. Every node carries its source position (1-based line
+and column) for error reporting. The reader is one loop over a compiled token
+regex that builds the tree as it goes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Union
 
 
@@ -19,165 +20,149 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
-    line: int = 0
-    col: int = 0
+class _Node:
+    """A reader node: a payload, in the slot that _field names, and a
+    source position that == and hash ignore."""
 
-    def __eq__(self, other) -> bool:  # positions are not identity
-        return isinstance(other, Sym) and other.name == self.name
+    __slots__ = ("line", "col")
+    _field = ""
 
-    def __hash__(self) -> int:
-        return hash(("sym", self.name))
-
-
-@dataclass(frozen=True)
-class SInt:
-    value: int
-    line: int = 0
-    col: int = 0
+    def _payload(self):
+        return getattr(self, self._field)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SInt) and other.value == self.value
+        return type(other) is type(self) and other._payload() == self._payload()
 
     def __hash__(self) -> int:
-        return hash(("int", self.value))
+        return hash((type(self).__name__, self._payload()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._payload()!r}, {self.line}, {self.col})"
 
 
-@dataclass(frozen=True)
-class SStr:
-    value: str
-    line: int = 0
-    col: int = 0
+class Sym(_Node):
+    __slots__ = ("name",)
+    _field = "name"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SStr) and other.value == self.value
-
-    def __hash__(self) -> int:
-        return hash(("str", self.value))
+    def __init__(self, name: str, line: int = 0, col: int = 0) -> None:
+        self.name, self.line, self.col = name, line, col
 
 
-@dataclass(frozen=True)
-class SList:
-    items: tuple["SExp", ...]
-    line: int = 0
-    col: int = 0
+class SInt(_Node):
+    __slots__ = ("value",)
+    _field = "value"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SList) and other.items == self.items
+    def __init__(self, value: int, line: int = 0, col: int = 0) -> None:
+        self.value, self.line, self.col = value, line, col
 
-    def __hash__(self) -> int:
-        return hash(("list", self.items))
+
+class SStr(_Node):
+    __slots__ = ("value",)
+    _field = "value"
+
+    def __init__(self, value: str, line: int = 0, col: int = 0) -> None:
+        self.value, self.line, self.col = value, line, col
+
+
+class SList(_Node):
+    __slots__ = ("items",)
+    _field = "items"
+
+    def __init__(self, items: tuple["SExp", ...], line: int = 0, col: int = 0) -> None:
+        self.items, self.line, self.col = items, line, col
 
 
 SExp = Union[Sym, SInt, SStr, SList]
 
-_DELIMS = set("()\"; \t\r\n")
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 _UNESCAPES = {"\n": "\\n", "\t": "\\t", '"': '\\"', "\\": "\\\\"}
 
+# Blanks within a line, then one token. Only '\n' ends a line; every other
+# character, '\r' and '\t' included, is one column. `\d` matches exactly the
+# digits int() accepts. A string with a backslash, or with no closing quote,
+# is decoded, or rejected, by _slow_string.
+_TOKEN = re.compile(r"""
+    [ \t\r]*
+    (?:
+      (\()
+    | (\))
+    | ([+-]?\d+)(?![^()"; \t\r\n])
+    | ([^()"; \t\r\n]+)
+    | (\n)
+    | ("[^"\\]*")
+    | ("[^"\\]*(?:\\[\s\S][^"\\]*)*"?)
+    | ;[^\n]*
+    )
+""", re.VERBOSE)
+_OPEN, _CLOSE, _INT, _SYM, _NEWLINE, _STR = range(1, 7)  # group 7: any other string
 
-def _is_int_token(tok: str) -> bool:
-    body = tok[1:] if tok[0] in "+-" else tok
-    return body.isdigit() and bool(body)
 
-
-class _Lexer:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def error(self, msg: str) -> ParseError:
-        return ParseError(msg, self.line, self.col)
-
-    def _advance(self, ch: str) -> None:
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
+def _slow_string(text: str, start: int, line: int, col: int) -> str:
+    """The value of the string literal whose opening quote is text[start],
+    or the ParseError it raises, reported at the opening quote."""
+    out = []
+    pos = start + 1
+    while True:
+        if pos >= len(text):
+            raise ParseError("unterminated string", line, col)
+        c = text[pos]
+        pos += 1
+        if c == '"':
+            return "".join(out)
+        if c == "\\":
+            if pos >= len(text):
+                raise ParseError("unterminated escape", line, col)
+            esc = text[pos]
+            pos += 1
+            if esc not in _ESCAPES:
+                raise ParseError(f"bad escape \\{esc}", line, col)
+            out.append(_ESCAPES[esc])
         else:
-            self.col += 1
-
-    def tokens(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(ch)
-                continue
-            if ch == ";":
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self._advance(text[self.pos])
-                continue
-            line, col = self.line, self.col
-            if ch in "()":
-                self._advance(ch)
-                yield (ch, None, line, col)
-                continue
-            if ch == '"':
-                self._advance(ch)
-                out = []
-                while True:
-                    if self.pos >= len(text):
-                        raise ParseError("unterminated string", line, col)
-                    c = text[self.pos]
-                    self._advance(c)
-                    if c == '"':
-                        break
-                    if c == "\\":
-                        if self.pos >= len(text):
-                            raise ParseError("unterminated escape", line, col)
-                        esc = text[self.pos]
-                        self._advance(esc)
-                        if esc not in _ESCAPES:
-                            raise ParseError(f"bad escape \\{esc}", line, col)
-                        out.append(_ESCAPES[esc])
-                    else:
-                        out.append(c)
-                yield ("str", "".join(out), line, col)
-                continue
-            out = []
-            while self.pos < len(text) and text[self.pos] not in _DELIMS:
-                out.append(text[self.pos])
-                self._advance(text[self.pos])
-            yield ("atom", "".join(out), line, col)
+            out.append(c)
 
 
 def parse_sexps(text: str) -> list[SExp]:
     """All top-level forms in the text."""
-    stack: list[list] = []
-    positions: list[tuple[int, int]] = []
     top: list[SExp] = []
-    last = (1, 1)
-    for kind, value, line, col in _Lexer(text).tokens():
-        last = (line, col)
-        if kind == "(":
-            stack.append([])
-            positions.append((line, col))
+    items = top
+    stack: list[tuple[list, int, int]] = []
+    line = 1
+    line_start = 0  # offset of the current line's first character
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        if kind is None:  # a comment
             continue
-        if kind == ")":
+        if kind == _NEWLINE:
+            line += 1
+            line_start = m.end()
+            continue
+        start = m.start(kind)
+        col = start - line_start + 1
+        if kind == _OPEN:
+            stack.append((items, line, col))
+            items = []
+        elif kind == _CLOSE:
             if not stack:
                 raise ParseError("unbalanced ')'", line, col)
-            items = stack.pop()
-            lpos = positions.pop()
-            node = SList(tuple(items), *lpos)
-            (stack[-1] if stack else top).append(node)
-            continue
-        if kind == "str":
-            node = SStr(value, line, col)
-        elif _is_int_token(value):
-            node = SInt(int(value), line, col)
+            parent, pline, pcol = stack.pop()
+            parent.append(SList(tuple(items), pline, pcol))
+            items = parent
+        elif kind == _SYM:
+            items.append(Sym(m.group(kind), line, col))
+        elif kind == _INT:
+            items.append(SInt(int(m.group(kind)), line, col))
         else:
-            node = Sym(value, line, col)
-        (stack[-1] if stack else top).append(node)
+            raw = m.group(kind)
+            value = raw[1:-1] if kind == _STR else _slow_string(text, start, line, col)
+            items.append(SStr(value, line, col))
+            if "\n" in raw:
+                line += raw.count("\n")
+                line_start = start + 1 + raw.rindex("\n")
     if stack:
-        line, col = positions[-1]
+        _, line, col = stack[-1]
         raise ParseError("unclosed '('", line, col)
     if not top:
-        raise ParseError("empty input", *last)
+        raise ParseError("empty input", 1, 1)
     return top
 
 

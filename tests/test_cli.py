@@ -85,6 +85,34 @@ class TestSynth:
         assert exc.value.code == 2
 
 
+# (goal file text, "L:C: msg" of its reader error)
+BAD_GOALS = [
+    ('(constants ("a\\q" Str))', "1:13: bad escape \\q"),
+    ('(goal g\n  (consts "abc', "2:11: unterminated string"),
+    ("(constants)\n(goal g (sig (-> Bool))", "2:1: unclosed '('"),
+]
+
+
+class TestGoalParseErrors:
+    @pytest.mark.parametrize("command", ["synth", "check"])
+    @pytest.mark.parametrize("text,where", BAD_GOALS,
+                             ids=["bad-escape", "unterminated-string", "unclosed-paren"])
+    def test_exits_two_with_path_and_position(self, capsys, tmp_path, command, text, where):
+        goal = tmp_path / "bad.goal"
+        goal.write_text(text, encoding="utf-8")
+        pfile = tmp_path / "p.prog"
+        pfile.write_text("(def g (params) true)", encoding="utf-8")
+        argv = [command, str(goal)]
+        if command == "check":
+            argv += ["--program", str(pfile)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {goal}: {where}\n"
+
+
 class TestEvalAndCheck:
     def test_eval_roundtrip_all_pass(self, capsys, tmp_path):
         # a synthesized program always evaluates clean against its own goal

@@ -15,9 +15,10 @@ from types import SimpleNamespace
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmark"))
 
-from spans import Tracer, install  # noqa: E402
+from spans import Tracer, install, install_loading  # noqa: E402
 
 from effsynth.driver import synthesize  # noqa: E402
+from effsynth import goalfile  # noqa: E402
 from effsynth.goalfile import load_goal_file  # noqa: E402
 from effsynth.search import SearchConfig  # noqa: E402
 
@@ -48,3 +49,19 @@ def test_spans_cover_the_layers_and_agree_with_the_report():
     assert evaluations == report.candidates_evaluated
     # the traced benchmark checks rewrites against the reported orderings
     assert calls["merge.rewrite"] == report.merge_orderings_tried == 1
+
+
+def test_loading_spans_cover_reader_validation_and_build():
+    # goal loading must call the reader, validation and building through
+    # goalfile's own module attributes, which the loading tracer replaces
+    lib = SimpleNamespace(goalfile=goalfile)
+    tracer = Tracer()
+    try:
+        install_loading(tracer, lib)
+        load_goal_file(str(ROOT / "goals" / "s5_branching.goal"))
+    finally:
+        tracer.restore()
+    calls = tracer.summary()["calls"]
+    assert calls["sexp.parse"] == 1
+    assert calls["goalfile.validate"] == 1
+    assert calls["goalfile.build"] >= 1
