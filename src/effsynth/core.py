@@ -8,12 +8,48 @@ ordered by subsumption, with Pure (empty) at the bottom and * at the top.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Union
 
 
 class DefinitionError(Exception):
     """A name (class, method, native, column) is missing or redeclared."""
+
+
+class Value:
+    """Base of the library's immutable values: types, effects, terms,
+    runtime values, specs and results.
+
+    A subclass names its fields in __slots__, in constructor order, and
+    assigns each once in its __init__; nothing assigns to a field later.
+    Two values are equal when they are of the same class and their fields
+    are equal; the hash is that of the fields, and repr is
+    Name(field=value, ...).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # A subclass keeps its parents' fields, after them.
+        cls._fields = tuple(f for c in reversed(cls.__mro__)
+                            for f in c.__dict__.get("__slots__", ()))
+        # The key == and hash read, built in C: one field's value, or the
+        # tuple of several. A fieldless class is its own key.
+        cls._key = attrgetter(*cls._fields) if cls._fields else type
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 RESERVED_LEAF_CLASSES = ("Bool", "Str", "Int", "Sym")
@@ -23,28 +59,36 @@ RESERVED_LEAF_CLASSES = ("Bool", "Str", "Int", "Sym")
 # Types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassT:
-    name: str
+class ClassT(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
-@dataclass(frozen=True)
-class ClassOf:
+class ClassOf(Value):
     """Singleton class type: the type of the class object itself."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
-@dataclass(frozen=True)
-class UnionT:
-    members: tuple["TypeExpr", ...]  # canonical: non-union, deduped, sorted
+class UnionT(Value):
+    __slots__ = ("members",)
+
+    def __init__(self, members: tuple[TypeExpr, ...]) -> None:
+        self.members = members  # canonical: non-union, deduped, sorted
 
 
-@dataclass(frozen=True)
-class RecordT:
+class RecordT(Value):
     """Finite record type: fields are (name, optional, type), key-sorted."""
 
-    fields: tuple[tuple[str, bool, "TypeExpr"], ...]
+    __slots__ = ("fields",)
+
+    def __init__(self, fields: tuple[tuple[str, bool, TypeExpr], ...]) -> None:
+        self.fields = fields
 
     def field_map(self) -> dict[str, tuple[bool, "TypeExpr"]]:
         return {k: (opt, ty) for k, opt, ty in self.fields}
@@ -100,30 +144,33 @@ def union_of(*types: TypeExpr) -> TypeExpr:
 # Effects
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Star:
-    pass
+class Star(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassStar:
-    cls: str
+class ClassStar(Value):
+    __slots__ = ("cls",)
+
+    def __init__(self, cls: str) -> None:
+        self.cls = cls
 
 
-@dataclass(frozen=True)
-class Region:
-    cls: str
-    region: str
+class Region(Value):
+    __slots__ = ("cls", "region")
+
+    def __init__(self, cls: str, region: str) -> None:
+        self.cls, self.region = cls, region
 
 
-@dataclass(frozen=True)
-class SelfStar:
-    pass
+class SelfStar(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SelfRegion:
-    region: str
+class SelfRegion(Value):
+    __slots__ = ("region",)
+
+    def __init__(self, region: str) -> None:
+        self.region = region
 
 
 EffectAtom = Union[Star, ClassStar, Region, SelfStar, SelfRegion]
@@ -144,11 +191,13 @@ def atom_key(a: EffectAtom) -> tuple:
     return (4, a.region, "")
 
 
-@dataclass(frozen=True)
-class Effect:
+class Effect(Value):
     """Canonical set of effect atoms; the empty set is Pure."""
 
-    atoms: tuple[EffectAtom, ...] = ()
+    __slots__ = ("atoms",)
+
+    def __init__(self, atoms: tuple[EffectAtom, ...] = ()) -> None:
+        self.atoms = atoms
 
     def is_pure(self) -> bool:
         return not self.atoms
@@ -215,10 +264,11 @@ def resolve_self(eff: Effect, receiver_class: str, ct: "ClassTable") -> Effect:
     return canon_effect(out, ct)
 
 
-@dataclass(frozen=True)
-class EffectPair:
-    read: Effect = PURE
-    write: Effect = PURE
+class EffectPair(Value):
+    __slots__ = ("read", "write")
+
+    def __init__(self, read: Effect = PURE, write: Effect = PURE) -> None:
+        self.read, self.write = read, write
 
     def is_pure(self) -> bool:
         return self.read.is_pure() and self.write.is_pure()
@@ -242,86 +292,100 @@ def resolve_self_pair(p: EffectPair, receiver_class: str, ct: "ClassTable") -> E
 # Expressions and conditionals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NilLit:
-    pass
+class NilLit(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TrueLit:
-    pass
+class TrueLit(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FalseLit:
-    pass
+class FalseLit(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
 
 
-@dataclass(frozen=True)
-class StrLit:
-    value: str
+class StrLit(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: str) -> None:
+        self.value = value
 
 
-@dataclass(frozen=True)
-class SymLit:
-    name: str
+class SymLit(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
-@dataclass(frozen=True)
-class ClassLit:
-    name: str
+class ClassLit(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Seq:
-    first: "Expr"
-    second: "Expr"
+class Seq(Value):
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: Expr, second: Expr) -> None:
+        self.first, self.second = first, second
 
 
-@dataclass(frozen=True)
-class Call:
-    recv: "Expr"
-    method: str
-    args: tuple["Expr", ...] = ()
+class Call(Value):
+    __slots__ = ("recv", "method", "args")
+
+    def __init__(self, recv: Expr, method: str, args: tuple[Expr, ...] = ()) -> None:
+        self.recv, self.method, self.args = recv, method, args
 
 
-@dataclass(frozen=True)
-class If:
-    cond: "Cond"
-    then: "Expr"
-    orelse: "Expr"
+class If(Value):
+    __slots__ = ("cond", "then", "orelse")
+
+    def __init__(self, cond: Cond, then: Expr, orelse: Expr) -> None:
+        self.cond, self.then, self.orelse = cond, then, orelse
 
 
-@dataclass(frozen=True)
-class Let:
-    var: str
-    bound: "Expr"
-    body: "Expr"
+class Let(Value):
+    __slots__ = ("var", "bound", "body")
+
+    def __init__(self, var: str, bound: Expr, body: Expr) -> None:
+        self.var, self.bound, self.body = var, bound, body
 
 
-@dataclass(frozen=True)
-class RecordLit:
-    pairs: tuple[tuple[str, "Expr"], ...]
+class RecordLit(Value):
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[str, Expr], ...]) -> None:
+        self.pairs = pairs
 
 
-@dataclass(frozen=True)
-class TypedHole:
-    ty: TypeExpr
+class TypedHole(Value):
+    __slots__ = ("ty",)
+
+    def __init__(self, ty: TypeExpr) -> None:
+        self.ty = ty
 
 
-@dataclass(frozen=True)
-class EffectHole:
-    eff: Effect
+class EffectHole(Value):
+    __slots__ = ("eff",)
+
+    def __init__(self, eff: Effect) -> None:
+        self.eff = eff
 
 
 Expr = Union[
@@ -330,20 +394,25 @@ Expr = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Atom:
-    expr: Expr
+class Atom(Value):
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr) -> None:
+        self.expr = expr
 
 
-@dataclass(frozen=True)
-class Not:
-    inner: "Cond"
+class Not(Value):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Cond) -> None:
+        self.inner = inner
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Cond"
-    right: "Cond"
+class Or(Value):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Cond, right: Cond) -> None:
+        self.left, self.right = left, right
 
 
 Cond = Union[Atom, Not, Or]
@@ -393,16 +462,18 @@ def is_complete(e: Union[Expr, Cond]) -> bool:
     return not any(isinstance(n, (TypedHole, EffectHole)) for n in walk(e))
 
 
-@dataclass(frozen=True)
-class HolePath:
+class HolePath(Value):
     """The leftmost hole of a term and the frames above it, outermost first.
 
     A frame is (node, index, kids): a node on the way down, the index of the
     child the path continues into, and the node's children() as found.
     """
 
-    hole: Union[TypedHole, EffectHole]
-    frames: tuple[tuple[Union[Expr, Cond], int, tuple], ...]
+    __slots__ = ("hole", "frames")
+
+    def __init__(self, hole: Union[TypedHole, EffectHole],
+                 frames: tuple[tuple[Union[Expr, Cond], int, tuple], ...]) -> None:
+        self.hole, self.frames = hole, frames
 
     def plug(self, fill: Expr) -> Union[Expr, Cond]:
         """The term with the hole replaced by fill. Only the nodes on the path
@@ -502,14 +573,17 @@ def alpha_key(e: Union[Expr, Cond], env: Optional[dict[str, str]] = None, counte
 # Method signatures and the class table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MethodSig:
-    owner: TypeExpr  # ClassT or ClassOf
-    name: str
-    params: tuple[TypeExpr, ...]
-    ret: TypeExpr
-    eff: EffectPair = PURE_PAIR
-    native: Optional[str] = None
+class MethodSig(Value):
+    __slots__ = ("owner", "name", "params", "ret", "eff", "native")
+
+    def __init__(self, owner: TypeExpr, name: str, params: tuple[TypeExpr, ...], ret: TypeExpr,
+                 eff: EffectPair = PURE_PAIR, native: Optional[str] = None) -> None:
+        self.owner = owner  # ClassT or ClassOf
+        self.name = name
+        self.params = params
+        self.ret = ret
+        self.eff = eff
+        self.native = native
 
     def owner_class(self) -> str:
         assert isinstance(self.owner, (ClassT, ClassOf))
@@ -686,6 +760,8 @@ def _subtype(t1: TypeExpr, t2: TypeExpr, ct: ClassTable) -> bool:
 # Constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantPool:
-    entries: tuple[tuple[Expr, TypeExpr], ...] = ()
+class ConstantPool(Value):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[Expr, TypeExpr], ...] = ()) -> None:
+        self.entries = entries

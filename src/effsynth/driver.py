@@ -16,7 +16,7 @@ from typing import Optional
 
 from .core import (
     ClassTable, ConstantPool, DefinitionError, Expr, If, TRUE_COND, TypeExpr,
-    expr_size,
+    Value, expr_size,
 )
 from .effgen import erase_table
 from .interp import Spec
@@ -25,13 +25,16 @@ from .runtime import World
 from .search import SearchConfig, SearchStats, generate
 
 
-@dataclass(frozen=True)
-class Goal:
-    name: str
-    param_types: tuple[TypeExpr, ...]
-    ret: TypeExpr
-    constants: ConstantPool
-    specs: tuple[Spec, ...]
+class Goal(Value):
+    __slots__ = ("name", "param_types", "ret", "constants", "specs")
+
+    def __init__(self, name: str, param_types: tuple[TypeExpr, ...], ret: TypeExpr,
+                 constants: ConstantPool, specs: tuple[Spec, ...]) -> None:
+        self.name = name
+        self.param_types = param_types
+        self.ret = ret
+        self.constants = constants
+        self.specs = specs
 
     @property
     def arity(self) -> int:
@@ -41,11 +44,11 @@ class Goal:
         return tuple(f"arg{i}" for i in range(self.arity))
 
 
-@dataclass(frozen=True)
-class Program:
-    name: str
-    params: tuple[str, ...]
-    body: Expr
+class Program(Value):
+    __slots__ = ("name", "params", "body")
+
+    def __init__(self, name: str, params: tuple[str, ...], body: Expr) -> None:
+        self.name, self.params, self.body = name, params, body
 
 
 def count_paths(e: Expr) -> int:

@@ -23,14 +23,13 @@ declared class, otherwise a variable reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Atom, Call, ClassLit, ClassOf, ClassStar, ClassT, ClassTable, Cond,
     ConstantPool, DefinitionError, Effect, EffectHole, EffectPair, Expr,
     FalseLit, If, IntLit, Let, MethodSig, NilLit, Not, Or, PURE, RecordLit,
     Region, STAR, SELF_STAR, SelfRegion, SelfStar, Seq, StrLit, SymLit,
-    TrueLit, TypedHole, TypeExpr, UnionT, Var, record_of, subtype, union_of,
+    TrueLit, TypedHole, TypeExpr, UnionT, Value, Var, record_of, subtype,
+    union_of,
 )
 from .driver import Goal, Program
 from .interp import RESULT_VAR, SetupStmt, Spec
@@ -39,13 +38,16 @@ from .sexp import ParseError, SExp, SInt, SList, SStr, Sym, parse_sexps, write_s
 from .typegen import TypeCheckError, typecheck
 
 
-@dataclass(frozen=True)
-class GoalFile:
-    classes: tuple[tuple[str, str], ...]  # (name, parent)
-    schemas: tuple[SchemaDecl, ...]
-    methods: tuple[MethodSig, ...]
-    constants: ConstantPool
-    goal: Goal
+class GoalFile(Value):
+    __slots__ = ("classes", "schemas", "methods", "constants", "goal")
+
+    def __init__(self, classes: tuple[tuple[str, str], ...], schemas: tuple[SchemaDecl, ...],
+                 methods: tuple[MethodSig, ...], constants: ConstantPool, goal: Goal) -> None:
+        self.classes = classes  # (name, parent)
+        self.schemas = schemas
+        self.methods = methods
+        self.constants = constants
+        self.goal = goal
 
 
 def _err(node: SExp, msg: str) -> ParseError:
@@ -231,8 +233,6 @@ def parse_cond(node: SExp, class_names: set[str]) -> Cond:
 # ---------------------------------------------------------------------------
 
 def _parse_schema(form: SList, class_names: set[str]) -> SchemaDecl:
-    if len(form.items) < 2:
-        raise _err(form, "(schema NAME (COLUMN TYPE)...)")
     name = _expect_sym(form.items[1], "a schema class name")
     columns = []
     for c in form.items[2:]:
@@ -269,7 +269,7 @@ def _parse_method(form: SList, class_names: set[str]) -> MethodSig:
     native = None
     for extra in form.items[5:]:
         el = _expect_list(extra)
-        head = _expect_sym(el.items[0], "read, write, or native")
+        head = _expect_sym(el.items[0], "read, write, or native") if el.items else None
         if head == "read" and len(el.items) == 2:
             read = parse_effect(el.items[1], class_names)
         elif head == "write" and len(el.items) == 2:
@@ -376,10 +376,14 @@ def parse_goal_file(text: str) -> GoalFile:
         if head is None:
             raise _err(form, "expected a declaration")
         if head == "class":
+            if len(fl.items) < 2:
+                raise _err(fl, "(class NAME (parent NAME)?)")
             name = _expect_sym(fl.items[1], "a class name")
             parent = "Obj"
             if len(fl.items) == 3:
                 pl = _expect_list(fl.items[2], "parent")
+                if len(pl.items) != 2:
+                    raise _err(pl, "(parent NAME)")
                 parent = _expect_sym(pl.items[1], "a parent class name")
             elif len(fl.items) != 2:
                 raise _err(fl, "(class NAME (parent NAME)?)")
@@ -390,6 +394,8 @@ def parse_goal_file(text: str) -> GoalFile:
             classes.append((name, parent))
             class_names.add(name)
         elif head == "schema":
+            if len(fl.items) < 2:
+                raise _err(fl, "(schema NAME (COLUMN TYPE)...)")
             schema_forms.append(fl)
             name = _expect_sym(fl.items[1], "a schema class name")
             if name in class_names:

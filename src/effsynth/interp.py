@@ -15,13 +15,12 @@ observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import (
     Atom, Call, ClassLit, ClassOf, ClassT, ClassTable, Cond, DefinitionError,
     EffectPair, Expr, FalseLit, If, IntLit, Let, NilLit, Not, Or, PURE_PAIR,
-    RecordLit, Seq, StrLit, SymLit, TrueLit, Var, pair_union,
+    RecordLit, Seq, StrLit, SymLit, TrueLit, Value, Var, pair_union,
     resolve_self_pair,
 )
 from .runtime import (
@@ -35,51 +34,59 @@ from .runtime import (
 # Specs and results
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SetupStmt:
+class SetupStmt(Value):
     """One setup statement, optionally binding its value for later use."""
 
-    expr: Expr
-    var: Optional[str] = None
+    __slots__ = ("expr", "var")
+
+    def __init__(self, expr: Expr, var: Optional[str] = None) -> None:
+        self.expr, self.var = expr, var
 
 
-@dataclass(frozen=True)
-class Spec:
+class Spec(Value):
     """A test: setup statements, the goal-call arguments, and assertions."""
 
-    title: str
-    setup: tuple[SetupStmt, ...]
-    call_args: tuple[Expr, ...]
-    post: tuple[Expr, ...]
+    __slots__ = ("title", "setup", "call_args", "post")
 
-    def __post_init__(self) -> None:
+    def __init__(self, title: str, setup: tuple[SetupStmt, ...], call_args: tuple[Expr, ...],
+                 post: tuple[Expr, ...]) -> None:
+        self.title = title
+        self.setup = setup
+        self.call_args = call_args
+        self.post = post
         if not self.post:
             raise DefinitionError(f"spec {self.title!r} has no assertions")
 
 
-@dataclass(frozen=True)
-class Ok:
-    value: RuntimeValue
+class Ok(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: RuntimeValue) -> None:
+        self.value = value
 
 
-@dataclass(frozen=True)
-class AssertErr:
-    eff: EffectPair
+class AssertErr(Value):
+    __slots__ = ("eff",)
+
+    def __init__(self, eff: EffectPair) -> None:
+        self.eff = eff
 
 
-@dataclass(frozen=True)
-class RuntimeErr:
-    kind: str
-    detail: str = ""
+class RuntimeErr(Value):
+    __slots__ = ("kind", "detail")
+
+    def __init__(self, kind: str, detail: str = "") -> None:
+        self.kind, self.detail = kind, detail
 
 
 Outcome = Union[Ok, AssertErr, RuntimeErr]
 
 
-@dataclass(frozen=True)
-class SpecResult:
-    passed_count: int
-    outcome: Outcome
+class SpecResult(Value):
+    __slots__ = ("passed_count", "outcome")
+
+    def __init__(self, passed_count: int, outcome: Outcome) -> None:
+        self.passed_count, self.outcome = passed_count, outcome
 
     @property
     def ok(self) -> bool:
@@ -189,18 +196,22 @@ def eval_expr(env: dict[str, RuntimeValue], world: World, ct: ClassTable,
 # Spec execution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpecStart:
+class SpecStart(Value):
     """A spec's state at the goal call: the world checkpoint, the setup's
     bindings and the argument values. When setup or argument evaluation
     raised, `error` holds the exception, `error_stage` says which ("setup"
     or "args"), and there is no checkpoint."""
 
-    checkpoint: Optional[Checkpoint]
-    env: dict[str, RuntimeValue]
-    args: tuple[RuntimeValue, ...]
-    error: Optional[RuntimeError_] = None
-    error_stage: Optional[str] = None
+    __slots__ = ("checkpoint", "env", "args", "error", "error_stage")
+
+    def __init__(self, checkpoint: Optional[Checkpoint], env: dict[str, RuntimeValue],
+                 args: tuple[RuntimeValue, ...], error: Optional[RuntimeError_] = None,
+                 error_stage: Optional[str] = None) -> None:
+        self.checkpoint = checkpoint
+        self.env = env
+        self.args = args
+        self.error = error
+        self.error_stage = error_stage
 
     def param_env(self) -> dict[str, RuntimeValue]:
         return {f"arg{i}": v for i, v in enumerate(self.args)}

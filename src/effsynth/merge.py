@@ -26,8 +26,8 @@ from typing import Optional
 
 from .core import (
     Atom, BOOL_T, Call, ClassTable, Cond, ConstantPool, Expr, FalseLit, If,
-    NIL, Not, Or, RecordLit, RecordT, TRUE, TRUE_COND, TrueLit, TypeExpr, Var,
-    alpha_key, subtype,
+    NIL, Not, Or, RecordLit, RecordT, TRUE, TRUE_COND, TrueLit, TypeExpr, Value,
+    Var, alpha_key, subtype,
 )
 from .interp import Evaluator, Spec, SpecResult, SpecStart, run_spec, spec_start
 from .runtime import RuntimeError_, World, truthy
@@ -88,16 +88,18 @@ def cond_as_expr(c: Cond) -> Expr:
 # Tuples and terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MergeTuple:
-    expr: Expr
-    cond: Cond
-    specs: frozenset[int]
+class MergeTuple(Value):
+    __slots__ = ("expr", "cond", "specs")
+
+    def __init__(self, expr: Expr, cond: Cond, specs: frozenset[int]) -> None:
+        self.expr, self.cond, self.specs = expr, cond, specs
 
 
-@dataclass(frozen=True)
-class MergeTerm:
-    tuples: tuple[MergeTuple, ...]
+class MergeTerm(Value):
+    __slots__ = ("tuples",)
+
+    def __init__(self, tuples: tuple[MergeTuple, ...]) -> None:
+        self.tuples = tuples
 
     def spec_ids(self) -> frozenset[int]:
         out: frozenset[int] = frozenset()
@@ -262,11 +264,13 @@ def search(session: MergeSession, true_ids: frozenset[int],
     return session.bank.find(true_ids, false_ids)
 
 
-@dataclass(frozen=True)
-class BankTerm:
-    expr: Expr
-    ty: Optional[TypeExpr]  # None with types off: every term fits everywhere
-    results: tuple  # per spec start of the goal, in spec order
+class BankTerm(Value):
+    __slots__ = ("expr", "ty", "results")
+
+    def __init__(self, expr: Expr, ty: Optional[TypeExpr], results: tuple) -> None:
+        self.expr = expr
+        self.ty = ty  # None with types off: every term fits everywhere
+        self.results = results  # per spec start of the goal, in spec order
 
 
 class ConditionBank:

@@ -14,13 +14,12 @@ those of another exactly when they denote the same rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .core import (
     BOOL_T, INT_T, NIL_T, STR_T, SYM_T, ClassOf, ClassT, ClassTable,
     DefinitionError, Effect, EffectPair, MethodSig, Region, SELF_STAR,
-    TypeExpr, record_of, union_of,
+    TypeExpr, Value, record_of, union_of,
 )
 
 
@@ -37,53 +36,66 @@ class RuntimeError_(Exception):
 # Values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NilV:
-    pass
+class NilV(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoolV:
-    flag: bool
+class BoolV(Value):
+    __slots__ = ("flag",)
+
+    def __init__(self, flag: bool) -> None:
+        self.flag = flag
 
 
-@dataclass(frozen=True)
-class IntV:
-    value: int
+class IntV(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
 
 
-@dataclass(frozen=True)
-class StrV:
-    text: str
+class StrV(Value):
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
 
 
-@dataclass(frozen=True)
-class SymV:
-    name: str
+class SymV(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
-@dataclass(frozen=True)
-class ClassV:
-    name: str
+class ClassV(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
-@dataclass(frozen=True)
-class ObjV:
-    cls: str
-    obj_id: int
+class ObjV(Value):
+    __slots__ = ("cls", "obj_id")
+
+    def __init__(self, cls: str, obj_id: int) -> None:
+        self.cls, self.obj_id = cls, obj_id
 
 
-@dataclass(frozen=True)
-class RelationV:
+class RelationV(Value):
     """The rows of class cls that a `where` matched, by ascending id."""
 
-    cls: str
-    ids: tuple[int, ...]
+    __slots__ = ("cls", "ids")
+
+    def __init__(self, cls: str, ids: tuple[int, ...]) -> None:
+        self.cls, self.ids = cls, ids
 
 
-@dataclass(frozen=True)
-class RecordV:
-    pairs: tuple[tuple[str, "RuntimeValue"], ...]  # key-sorted
+class RecordV(Value):
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[str, RuntimeValue], ...]) -> None:
+        self.pairs = pairs  # key-sorted
 
     def get(self, key: str):
         for k, v in self.pairs:
@@ -142,12 +154,11 @@ _COLUMN_DEFAULTS: dict[str, RuntimeValue] = {
 }
 
 
-@dataclass(frozen=True)
-class SchemaDecl:
-    cls: str
-    columns: tuple[tuple[str, TypeExpr], ...]
+class SchemaDecl(Value):
+    __slots__ = ("cls", "columns")
 
-    def __post_init__(self) -> None:
+    def __init__(self, cls: str, columns: tuple[tuple[str, TypeExpr], ...]) -> None:
+        self.cls, self.columns = cls, columns
         names = [c for c, _ in self.columns]
         if len(set(names)) != len(names):
             raise DefinitionError(f"duplicate column in schema {self.cls}")
@@ -170,12 +181,13 @@ def _copy_tables(tables: Tables) -> Tables:
     return {cls: dict(tbl) for cls, tbl in tables.items()}
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(Value):
     """A copy of a World's state, taken by World.checkpoint."""
 
-    tables: Tables
-    next_id: int
+    __slots__ = ("tables", "next_id")
+
+    def __init__(self, tables: Tables, next_id: int) -> None:
+        self.tables, self.next_id = tables, next_id
 
 
 class World:

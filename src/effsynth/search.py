@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 from .core import (
     Call, ClassTable, ConstantPool, Expr, Let, NilLit, Seq, TypedHole,
-    TypeExpr, Var, alpha_key, children, free_vars, leftmost_hole, rebuild,
-    walk,
+    TypeExpr, Value, Var, alpha_key, children, free_vars, leftmost_hole,
+    rebuild, walk,
 )
 from .effgen import expand_effect_hole, wrap_effect_hole
 from .interp import AssertErr, Spec, SpecResult, SpecStart, run_spec, spec_start
@@ -38,18 +38,19 @@ MODES = ("full", "types_only", "effects_only", "none")
 PRECISIONS = ("precise", "class", "purity")
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Value):
     """Knobs for one synthesis run. The search itself is fully deterministic;
     there is no seed. max_size bounds the size of every enqueued candidate."""
 
-    max_size: int = 64
-    mode: str = "full"
-    precision: str = "precise"
-    candidate_budget: int = 50_000
-    timeout_s: Optional[float] = None
+    __slots__ = ("max_size", "mode", "precision", "candidate_budget", "timeout_s")
 
-    def __post_init__(self) -> None:
+    def __init__(self, max_size: int = 64, mode: str = "full", precision: str = "precise",
+                 candidate_budget: int = 50_000, timeout_s: Optional[float] = None) -> None:
+        self.max_size = max_size
+        self.mode = mode
+        self.precision = precision
+        self.candidate_budget = candidate_budget
+        self.timeout_s = timeout_s
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.precision not in PRECISIONS:
@@ -82,17 +83,19 @@ class SearchStats:
     peak_queue: int = 0
 
 
-@dataclass(frozen=True)
-class WorkItem:
+class WorkItem(Value):
     """Worklist entry: best-first by passed assertions, then candidate size,
     then insertion order (seq is unique per search). The candidate's size
     and number of holes travel with it, so no product is walked for them."""
 
-    passed: int
-    cand: Expr
-    seq: int
-    size: int
-    holes: int
+    __slots__ = ("passed", "cand", "seq", "size", "holes")
+
+    def __init__(self, passed: int, cand: Expr, seq: int, size: int, holes: int) -> None:
+        self.passed = passed
+        self.cand = cand
+        self.seq = seq
+        self.size = size
+        self.holes = holes
 
     def key(self) -> tuple[int, int, int]:
         return (-self.passed, self.size, self.seq)

@@ -20,7 +20,6 @@ hole's scope, and then re-derives only the ancestors on the path.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
@@ -28,7 +27,7 @@ from .core import (
     ConstantPool, DefinitionError, EffectHole, Expr, FalseLit, HolePath, If,
     IntLit, INT_T, Let, NIL_T, NilLit, Not, OBJ_T, Or, RecordLit, RecordT,
     Seq, StrLit, STR_T, SymLit, SYM_T, TrueLit, TypedHole, TypeExpr, UnionT,
-    Var, children, expr_size, record_of, subtype, union_of, walk,
+    Value, Var, children, expr_size, record_of, subtype, union_of, walk,
 )
 
 TypeEnv = dict[str, TypeExpr]
@@ -41,16 +40,17 @@ class TypeCheckError(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class RuleConfig:
+class RuleConfig(Value):
     """Which side conditions the synthesis rules enforce.
 
     Ablations replace the subtype / effect-subsumption side conditions with
     "always true" while the structural rules stay in place.
     """
 
-    types_on: bool = True
-    effects_on: bool = True
+    __slots__ = ("types_on", "effects_on")
+
+    def __init__(self, types_on: bool = True, effects_on: bool = True) -> None:
+        self.types_on, self.effects_on = types_on, effects_on
 
 
 FULL_RULES = RuleConfig()

@@ -85,18 +85,29 @@ class TestSynth:
         assert exc.value.code == 2
 
 
-# (goal file text, "L:C: msg" of its reader error)
+# A well-formed goal, for the short declarations below to come before.
+SHORT_GOAL = '\n(goal g (sig (-> Bool)) (consts) (spec "t" (setup (call!)) (post (assert true))))'
+
+# (goal file text, "L:C: msg" of its reader or declaration error)
 BAD_GOALS = [
     ('(constants ("a\\q" Str))', "1:13: bad escape \\q"),
     ('(goal g\n  (consts "abc', "2:11: unterminated string"),
     ("(constants)\n(goal g (sig (-> Bool))", "2:1: unclosed '('"),
+    # declarations with too few items, reported at the form that is short
+    ("(class)" + SHORT_GOAL, "1:1: (class NAME (parent NAME)?)"),
+    ("(schema)" + SHORT_GOAL, "1:1: (schema NAME (COLUMN TYPE)...)"),
+    ("(class A (parent))" + SHORT_GOAL, "1:10: (parent NAME)"),
+    ("(method Obj m (params) Obj ())" + SHORT_GOAL,
+     '1:28: expected (read EFF), (write EFF), or (native "ID")'),
 ]
 
 
 class TestGoalParseErrors:
     @pytest.mark.parametrize("command", ["synth", "check"])
     @pytest.mark.parametrize("text,where", BAD_GOALS,
-                             ids=["bad-escape", "unterminated-string", "unclosed-paren"])
+                             ids=["bad-escape", "unterminated-string", "unclosed-paren",
+                                  "short-class", "short-schema", "short-parent",
+                                  "empty-method-extra"])
     def test_exits_two_with_path_and_position(self, capsys, tmp_path, command, text, where):
         goal = tmp_path / "bad.goal"
         goal.write_text(text, encoding="utf-8")

@@ -113,3 +113,25 @@ def test_every_library_name_is_referenced():
 def test_scan_sees_an_unreferenced_name():
     tree = ast.parse("A = 1\nB: int = 2\n\ndef f():\n    return g.B\n\nclass C:\n    x = 'f'\n")
     assert sorted(set(_defined(tree)) - _referenced(tree)) == ["A", "C"]
+
+
+def _frozen_dataclasses(tree: ast.Module) -> list[int]:
+    """Lines of `dataclass(frozen=True)` decorators and calls."""
+    return [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Call)
+            and (getattr(n.func, "id", None) or getattr(n.func, "attr", None)) == "dataclass"
+            and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
+                    for k in n.keywords)]
+
+
+def test_library_has_no_frozen_dataclass():
+    found = [f"{path.name}:{line}" for path in LIBRARY
+             for line in _frozen_dataclasses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, f"frozen dataclasses left (use a core.Value subclass): {', '.join(found)}"
+
+
+def test_scan_sees_a_frozen_dataclass():
+    tree = ast.parse("@dataclass(frozen=True)\nclass A:\n    x: int\n\n"
+                     "@dataclasses.dataclass(frozen=True, eq=True)\nclass B:\n    y: int\n\n"
+                     "@dataclass\nclass C:\n    z: int\n")
+    assert _frozen_dataclasses(tree) == [1, 5]

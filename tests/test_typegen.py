@@ -392,7 +392,8 @@ class TestPathCheck:
             return products
 
         class CheckedItem(search_mod.WorkItem):
-            def __post_init__(self):
+            def __init__(self, *args):
+                super().__init__(*args)
                 assert self.size == expr_size(self.cand)
                 assert self.holes == hole_count(self.cand) > 0
 
