@@ -81,6 +81,8 @@ class RunReport:
     paths: Optional[int]
     tuple_count: int
     merge_orderings_tried: int
+    bank_candidates: int  # condition-bank candidates evaluated
+    bank_terms: int  # condition-bank terms kept
     pops: int
     peak_queue: int
     failed_stage: Optional[str] = None
@@ -105,6 +107,7 @@ def synthesize(goal: Goal, ct: ClassTable, world: World,
     per_spec: list[PerSpecReport] = []
 
     def report(success: bool, program_size=None, paths=None, stage=None) -> RunReport:
+        bank = session.bank
         return RunReport(
             goal=goal.name, mode=cfg.mode, precision=cfg.precision,
             success=success,
@@ -115,6 +118,8 @@ def synthesize(goal: Goal, ct: ClassTable, world: World,
             program_size=program_size, paths=paths,
             tuple_count=len(tuples),
             merge_orderings_tried=session.orderings_tried,
+            bank_candidates=bank.evaluated if bank else 0,
+            bank_terms=len(bank.by_key) if bank else 0,
             pops=session.stats.pops,
             peak_queue=session.stats.peak_queue,
             failed_stage=stage,

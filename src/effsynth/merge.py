@@ -13,8 +13,10 @@ write-pure terms over the goal's arguments, enumerated bottom-up by size and
 kept one per observational class, i.e. per static type and results at the
 goal's spec starts. Results are the runtime values the evaluator returns;
 a relation is the value of its rows, so results of separate evaluations
-compare directly. Every condition search of the session reads the same bank
-and grows it only when no kept term separates its specs.
+compare directly. A composed term's results are computed from its operands'
+kept results, one call per start, as TRANSIT and Escher build value vectors.
+Every condition search of the session reads the same bank and grows it only
+when no kept term separates its specs.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .core import (
     Var, alpha_key, subtype,
 )
 from .interp import Evaluator, Spec, SpecResult, SpecStart, run_spec, spec_start
-from .runtime import RuntimeError_, World, truthy
+from .runtime import RuntimeError_, World, record_v, truthy
 from .sat import implies_valid
 from .search import SearchConfig, SearchStats
 from .typegen import TypeCheckError, TypeEnv, node_type
@@ -221,10 +223,36 @@ def _cond_holds(session: MergeSession, c: Cond, spec: Spec, want: bool) -> bool:
     return _at_start(session, c, spec) == want
 
 
-def _battery(session: MergeSession, term, specs) -> tuple:
-    """One candidate evaluation: the term's result at each spec's start."""
+def _battery(session: MergeSession, term, specs, operands=()) -> tuple:
+    """One candidate evaluation: the term's result at each spec's start.
+
+    Without operands the whole term is evaluated at every start. Given the
+    operands of a call or record literal, bank terms whose results are per
+    spec of specs, each result is built from theirs instead: ERR where the
+    start or an operand errs, else the record of the operand values, or
+    one call on them in the restored start world."""
     session.count_eval()
-    return tuple(_at_start(session, term, spec) for spec in specs)
+    if not operands:
+        return tuple(_at_start(session, term, spec) for spec in specs)
+    world = session.world
+    ev = Evaluator(world, session.ct)
+    out = []
+    for n, spec in enumerate(specs):
+        start = session.start(spec)
+        vals = [k.results[n] for k in operands]
+        if start.error is not None or any(v is ERR for v in vals):
+            out.append(ERR)
+        elif isinstance(term, RecordLit):
+            out.append(record_v(dict(zip((k for k, _ in term.pairs), vals))))
+        else:
+            # the call reads this start's world; restoring before every
+            # call also drops the writes of a method wrongly declared pure
+            world.restore(start.checkpoint)
+            try:
+                out.append(ev.call(vals[0], term.method, tuple(vals[1:])))
+            except RuntimeError_:
+                out.append(ERR)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +311,19 @@ class ConditionBank:
     all_sigs() order, then key-sorted record literals of those methods'
     record-typed parameters. A composed term's operands come from smaller,
     finished levels; with types on, an operand fits its slot by subtyping
-    and the composed node must type. Each term is evaluated once at every
-    spec start of the goal and keyed by (static type, per-start results);
+    and the composed node must type. Each term gets one result per spec
+    start of the goal and is keyed by (static type, per-start results);
     only the first term per key is kept. A term that errs at every start is
-    dropped, since every term built on it errs there too.
+    dropped, since every term built on it errs there too. Leaves and field
+    reads are evaluated whole; a composed term's result at a start is one
+    call on, or the record of, its operands' kept results there.
 
     A kept term is interchangeable with the dropped terms of its key inside
     any bank term: bank terms run only at spec starts and their methods do
     not write, so no subterm sees another's effects, and equal results at
     every start give equal results in any context of calls and records.
+    That is also why building a term's results from its kept operands'
+    gives what evaluating it whole would.
     """
 
     def __init__(self, session: MergeSession) -> None:
@@ -299,7 +331,8 @@ class ConditionBank:
         self.types_on = session.cfg.rules().types_on
         self.env = session.param_env()
         self.levels: list[list[BankTerm]] = []
-        self.by_key: dict = {}
+        self.by_key: dict = {}  # one kept term per key
+        self.evaluated = 0  # candidates admitted, one battery each
         # Bool terms in bank order, each with its truth per start (None: error).
         self.conds: list[tuple[Expr, tuple]] = []
         self.sigs = [s for s in session.ct.all_sigs() if s.eff.write.is_pure()]
@@ -334,11 +367,14 @@ class ConditionBank:
                 return self.conds[-1][0]
         return None
 
-    def admit(self, expr: Expr, ty: Optional[TypeExpr]) -> Optional[BankTerm]:
-        """Evaluate a candidate of the level being built; the kept term of
-        its key (itself if the key is new), or None if it errs everywhere."""
+    def admit(self, expr: Expr, ty: Optional[TypeExpr],
+              operands: tuple = ()) -> Optional[BankTerm]:
+        """Evaluate a candidate of the level being built, from its operands'
+        results if given; the kept term of its key (itself if the key is
+        new), or None if it errs everywhere."""
         session = self.session
-        results = _battery(session, expr, session.specs)
+        self.evaluated += 1
+        results = _battery(session, expr, session.specs, operands)
         if all(r is ERR for r in results):
             return None
         key = (ty, results, isinstance(expr, RecordLit))
@@ -352,28 +388,28 @@ class ConditionBank:
         return kept
 
     def candidates(self):
-        """(term, static type) per candidate, level by level; a level is
-        opened before its first candidate and is finished when the next one
-        opens."""
+        """(term, static type, operands) per candidate, level by level; a
+        level is opened before its first candidate and is finished when the
+        next one opens. The operands of a call or record literal are the
+        kept terms it is built from; leaves and field reads have none."""
         session = self.session
         size = 0
         while size <= session.cfg.max_size:
             self.levels.append([])
             if size == 0:
                 for lit, _ in session.sigma.entries:
-                    yield from self._typed(lit, ())
+                    yield from self._typed(lit)
                 for name in self.env:
-                    yield from self._typed(Var(name), ())
+                    yield from self._typed(Var(name))
             if size == 1:
                 for name, ty in self.env.items():
                     if isinstance(ty, RecordT):
                         for k, _, _ in ty.fields:
-                            yield from self._typed(Call(Var(name), k, ()), (ty,))
+                            yield from self._typed(Call(Var(name), k, ()), kid_tys=(ty,))
             for sig in self.sigs:
                 for kids in self._operands((sig.owner, *sig.params), size - 1):
                     yield from self._typed(
-                        Call(kids[0].expr, sig.name, tuple(k.expr for k in kids[1:])),
-                        [k.ty for k in kids])
+                        Call(kids[0].expr, sig.name, tuple(k.expr for k in kids[1:])), kids)
             made = set()  # two record types can share a literal
             for rec in self.records:
                 required = [(k, ty) for k, opt, ty in rec.fields if not opt]
@@ -386,17 +422,20 @@ class ConditionBank:
                                 (k, kid.expr) for (k, _), kid in zip(pairs, kids)))
                             if lit not in made:
                                 made.add(lit)
-                                yield from self._typed(lit, [k.ty for k in kids])
+                                yield from self._typed(lit, kids)
             size += 1
 
-    def _typed(self, expr: Expr, kid_tys):
-        """expr with its static type, given its children's, if its node
-        types; with types off every node is kept, untyped."""
+    def _typed(self, expr: Expr, operands: tuple = (), kid_tys=None):
+        """expr with its static type and operands, if its node types given
+        its children's types (the operands' unless stated); with types off
+        every node is kept, untyped."""
         if not self.types_on:
-            yield expr, None
+            yield expr, None, operands
             return
+        if kid_tys is None:
+            kid_tys = [k.ty for k in operands]
         try:
-            yield expr, node_type(self.env, self.session.ct, expr, kid_tys, True)
+            yield expr, node_type(self.env, self.session.ct, expr, kid_tys, True), operands
         except TypeCheckError:
             pass
 

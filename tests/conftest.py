@@ -54,6 +54,26 @@ def lookup_goal_text(n: int) -> str:
             f"(goal lookup{n}\n  (sig (Str -> Int))\n  (consts {names})\n{specs})\n")
 
 
+# Two specs whose starts differ only in a User row that no term over Post
+# and the argument can read.
+NEAR_TWINS = """
+(schema Post (author Str) (title Str) (slug Str))
+(schema User (name Str) (username Str))
+(constants ("a" Str) ("b" Str) (Post (class-of Post)))
+(goal pick
+  (sig (Str -> Str))
+  (consts "a" "b" Post)
+  (spec "post only"
+    (setup (call Post create (record (slug "present"))) (call! "present"))
+    (post (assert (call x_r == "a"))))
+  (spec "post and user"
+    (setup (call Post create (record (slug "present")))
+           (call User create (record (name "u")))
+           (call! "present"))
+    (post (assert (call x_r == "b")))))
+"""
+
+
 def expand_typed(env, ct, sigma, e, cfg=FULL_RULES):
     """The terms expand_typed_hole makes from e's leftmost hole."""
     return [p.expr for p in expand_typed_hole(env, ct, sigma, leftmost_hole(e), cfg)]

@@ -13,7 +13,8 @@ GOALS = Path("goals")
 REPORT_KEYS = sorted([
     "goal", "mode", "precision", "success", "candidates_expanded",
     "candidates_evaluated", "per_spec", "wall_ms", "program_size", "paths",
-    "tuple_count", "merge_orderings_tried", "failed_stage", "pops", "peak_queue",
+    "tuple_count", "merge_orderings_tried", "bank_candidates", "bank_terms",
+    "failed_stage", "pops", "peak_queue",
 ])
 
 PER_SPEC_KEYS = sorted([

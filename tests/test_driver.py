@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from conftest import lookup_goal_text
+from conftest import NEAR_TWINS, lookup_goal_text
 from effsynth import driver, interp
 from effsynth.core import Call, ClassLit, DefinitionError, NilLit, RecordLit, StrLit
 from effsynth.driver import Goal, count_paths, synthesize
@@ -104,24 +104,6 @@ class TestSynthesize:
             assert run_spec(program.body, goal.arity, spec, world, ct).ok
 
 
-NEAR_TWINS = """
-(schema Post (author Str) (title Str) (slug Str))
-(schema User (name Str) (username Str))
-(constants ("a" Str) ("b" Str) (Post (class-of Post)))
-(goal pick
-  (sig (Str -> Str))
-  (consts "a" "b" Post)
-  (spec "post only"
-    (setup (call Post create (record (slug "present"))) (call! "present"))
-    (post (assert (call x_r == "a"))))
-  (spec "post and user"
-    (setup (call Post create (record (slug "present")))
-           (call User create (record (name "u")))
-           (call! "present"))
-    (post (assert (call x_r == "b")))))
-"""
-
-
 class TestTimeout:
     def test_merge_stops_at_the_deadline(self):
         # the two specs differ only in a User row that no condition over
@@ -136,6 +118,7 @@ class TestTimeout:
         assert program is None
         assert report.tuple_count == 2
         assert report.failed_stage == "merge"
+        assert report.bank_candidates > report.bank_terms > 0
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
@@ -217,11 +200,13 @@ class TestCountPaths:
         assert sorted(d) == sorted([
             "goal", "mode", "precision", "success", "candidates_expanded",
             "candidates_evaluated", "per_spec", "wall_ms", "program_size",
-            "paths", "tuple_count", "merge_orderings_tried", "pops", "peak_queue",
-            "failed_stage",
+            "paths", "tuple_count", "merge_orderings_tried", "bank_candidates",
+            "bank_terms", "pops", "peak_queue", "failed_stage",
         ])
         assert d["failed_stage"] is None
         assert d["pops"] >= 1 and d["peak_queue"] >= 1
+        # one expression solves every spec: no condition, so no bank
+        assert d["bank_candidates"] == d["bank_terms"] == 0
         assert sorted(d["per_spec"][0]) == sorted([
             "spec", "reused", "candidates_expanded", "candidates_evaluated",
             "wall_ms",

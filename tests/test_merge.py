@@ -1,26 +1,33 @@
 import itertools
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import lookup_goal_text
+from conftest import NEAR_TWINS, lookup_goal_text
 from effsynth.core import (
     Atom, Call, ClassLit, ClassOf, ClassT, ConstantPool, FALSE, FalseLit, If,
     IntLit, Let, NIL, NilLit, Not, Or, RecordLit, StrLit, STR_T, TRUE_COND,
     TrueLit, Var, children, rebuild, walk,
 )
 from effsynth.goalfile import build, load_goal_file, parse_goal_file
-from effsynth.interp import SetupStmt, Spec
+from effsynth.interp import SetupStmt, Spec, spec_start
 from effsynth.merge import (
-    ConditionBank, MergeSession, MergeTerm, MergeTuple, _battery, _cond_holds,
-    canon_cond, canon_not, cond_as_expr, cond_eq, is_tautology,
+    ERR, ConditionBank, MergeSession, MergeTerm, MergeTuple, _at_start, _battery,
+    _cond_holds, canon_cond, canon_not, cond_as_expr, cond_eq, is_tautology,
     make_merge_tuple, merge_program, rewrite_merge, search, synth_condition,
 )
-from effsynth.runtime import relation_class
+from effsynth.runtime import NilV, RecordV, StrV, TRUE_V, relation_class
 from effsynth.sat import implies_valid
 from effsynth.search import SearchConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmark"))
+
+from heavy import inflate  # noqa: E402
 
 
 def call(recv, m, *args):
@@ -169,13 +176,18 @@ def session(blog):
     )
 
 
-def lookup_session(n):
-    """A merge session over the specs of the flat lookup goal `lookup<n>`."""
-    gf = parse_goal_file(lookup_goal_text(n))
+def goal_session(text, mode="full", specs=slice(None)):
+    """A merge session over a goal text's specs, or the given slice of them."""
+    gf = parse_goal_file(text)
     ct, world = build(gf)
     return MergeSession(
-        goal_params=gf.goal.param_types, ct=ct,
-        sigma=gf.goal.constants, world=world, cfg=SearchConfig(), specs=gf.goal.specs)
+        goal_params=gf.goal.param_types, ct=ct, sigma=gf.goal.constants,
+        world=world, cfg=SearchConfig(mode=mode), specs=gf.goal.specs[specs])
+
+
+def lookup_session(n):
+    """A merge session over the specs of the flat lookup goal `lookup<n>`."""
+    return goal_session(lookup_goal_text(n))
 
 
 def specs_of(term: MergeTerm):
@@ -512,10 +524,10 @@ def test_dropped_terms_are_interchangeable_with_their_representatives(goal):
         specs=gf.goal.specs)
     bank = ConditionBank(s)
     dropped = []
-    for expr, ty in bank.candidates():
+    for expr, ty, operands in bank.candidates():
         if len(bank.levels) > 4:  # level 4 opened: sizes 0-3 are done
             break
-        kept = bank.admit(expr, ty)
+        kept = bank.admit(expr, ty, operands)
         if kept is not None and kept.expr is not expr:
             dropped.append((expr, kept.expr))
     assert dropped
@@ -528,6 +540,106 @@ def test_dropped_terms_are_interchangeable_with_their_representatives(goal):
                     checked += 1
                     assert _battery(s, swapped, s.specs) == term.results, (term.expr, dup)
     assert checked > 0
+
+
+def grow(bank, levels):
+    """Admit every candidate of the bank's first `levels` levels."""
+    for cand in bank.candidates():
+        if len(bank.levels) > levels:
+            break
+        bank.admit(*cand)
+
+
+GOAL_PATHS = sorted((ROOT / "goals").glob("*.goal"))
+# s1_lvar and s2_false create no rows, so heavy.inflate has none to decoy
+ORACLE_GOALS = (
+    [(p.stem, p.read_text(encoding="utf-8")) for p in GOAL_PATHS]
+    + [(f"{p.stem}-inflated{seed}", inflate(p.read_text(encoding="utf-8"), seed))
+       for p in GOAL_PATHS if p.stem not in ("s1_lvar", "s2_false") for seed in (0, 1)]
+    + [(f"lookup{n}", lookup_goal_text(n)) for n in (3, 5, 8)]
+    + [("near_twins", NEAR_TWINS)])
+
+
+# With types on the banks stay small enough to check two more levels, where
+# the first terms that err at some starts but not all appear (size 4 in s4
+# and s5, size 5 in update_post) and become operands.
+ORACLE_LEVELS = {"full": 6, "effects_only": 4}
+
+
+@pytest.mark.parametrize("mode", ["full", "effects_only"])
+@pytest.mark.parametrize("text", [t for _, t in ORACLE_GOALS],
+                         ids=[name for name, _ in ORACLE_GOALS])
+def test_kept_results_match_whole_term_evaluation(text, mode):
+    """A kept term's results, built from its operands' kept results, are
+    those of evaluating the whole term at each spec start."""
+    s = goal_session(text, mode)
+    bank = ConditionBank(s)
+    levels = ORACLE_LEVELS[mode]
+    grow(bank, levels)
+    for t in (t for level in bank.levels[:levels] for t in level):
+        assert t.results == tuple(_at_start(s, t.expr, spec) for spec in s.specs), t.expr
+
+
+# `make` is minidb's create declared without its write effect, so the bank
+# admits calls of it
+MISDECLARED_WRITER = """
+(schema Post (slug Str))
+(constants ("a" Str) (Post (class-of Post)))
+(method (class-of Post) make (params (record (slug Str))) Post (native "minidb.create"))
+(goal has_post
+  (sig (Str -> Bool))
+  (consts "a" Post)
+  (spec "no post"
+    (setup (call! "a"))
+    (post (assert (call x_r == false))))
+  (spec "a post"
+    (setup (call Post create (record (slug "a"))) (call! "a"))
+    (post (assert (call x_r == true)))))
+"""
+
+
+def calls_method(e, name):
+    return any(isinstance(n, Call) and n.method == name for n in walk(e))
+
+
+@pytest.mark.parametrize("specs", [slice(None), slice(1, None), slice(0, 1)],
+                         ids=["both", "with-post", "without-post"])
+def test_a_misdeclared_writer_leaves_every_start_intact(specs):
+    s = goal_session(MISDECLARED_WRITER, specs=specs)
+    bank = ConditionBank(s)
+    grow(bank, 4)
+    kept = [t for level in bank.levels for t in level]
+    assert any(calls_method(t.expr, "make") for t in kept)
+    for spec in s.specs:
+        start = s.start(spec)
+        fresh = spec_start(spec, len(s.goal_params), s.world, s.ct)
+        assert start.checkpoint.tables == fresh.checkpoint.tables
+        assert start.checkpoint.next_id == fresh.checkpoint.next_id
+    # terms admitted after the writer ran still read each start's own rows
+    for t in kept:
+        if not calls_method(t.expr, "make"):
+            assert t.results == tuple(_at_start(s, t.expr, spec) for spec in s.specs), t.expr
+
+
+def test_an_operand_error_at_one_start_errs_there_only():
+    s = goal_session(MISDECLARED_WRITER)
+    bank = ConditionBank(s)
+    bank.levels.append([])
+    post, arg = ClassLit("Post"), Var("arg0")
+    first = call(call(post, "where", RecordLit((("slug", arg),))), "first")
+    slug = call(first, "slug")
+    found = bank.admit(first, None)
+    assert found.results[0] == NilV() and found.results[1] != NilV()
+    # nil has no slug: ERR at the start without a post, its slug at the other
+    read = bank.admit(slug, None, (found,))
+    assert read.results == (ERR, StrV("a"))
+    arg_term = bank.admit(arg, None)
+    same = bank.admit(eq(arg, slug), None, (arg_term, read))
+    assert same.results == (ERR, TRUE_V)
+    rec = bank.admit(RecordLit((("slug", slug),)), None, (read,))
+    assert rec.results == (ERR, RecordV((("slug", StrV("a")),)))
+    for t in (read, same, rec):
+        assert t.results == _battery(s, t.expr, s.specs)
 
 
 class TestMergeProgram:

@@ -47,6 +47,9 @@ def test_spans_cover_the_layers_and_agree_with_the_report():
     evaluations = (calls["interp.run_spec"] + calls["merge.battery"]
                    + tracer.counts["merge.guess_evals"])
     assert evaluations == report.candidates_evaluated
+    # every condition-bank candidate is one battery
+    assert calls["merge.battery"] == report.bank_candidates > 0
+    assert 0 < report.bank_terms <= report.bank_candidates
     # the traced benchmark checks rewrites against the reported orderings
     assert calls["merge.rewrite"] == report.merge_orderings_tried == 1
 
