@@ -13,4 +13,4 @@ from .driver import Goal, Program, RunReport, synthesize
 from .goalfile import GoalFile, build, load_goal_file, parse_goal_file, print_program
 from .interp import Spec, SpecResult, eval_expr, run_spec
 from .runtime import SchemaDecl, World, generate_schema_methods, invoke_native
-from .search import GenerateResult, SearchConfig, generate
+from .search import SearchConfig, generate

@@ -19,10 +19,10 @@ from .core import (
     Value, expr_size,
 )
 from .effgen import erase_table
-from .interp import Spec
+from .interp import Spec, param_env
 from .merge import MergeSession, MergeTuple, make_merge_tuple, merge_program
 from .runtime import World
-from .search import SearchConfig, SearchStats, generate
+from .search import SearchConfig, generate
 
 
 class Goal(Value):
@@ -39,9 +39,6 @@ class Goal(Value):
     @property
     def arity(self) -> int:
         return len(self.param_types)
-
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(f"arg{i}" for i in range(self.arity))
 
 
 class Program(Value):
@@ -136,15 +133,11 @@ def synthesize(goal: Goal, ct: ClassTable, world: World,
                 reused = True
                 break
         if not reused:
-            stats = SearchStats()
-            result = generate(goal.param_types, goal.ret, ct, goal.constants,
-                              spec, world, cfg, stats, deadline=deadline,
-                              start=session.start(spec))
-            session.absorb(stats)
-            found = result.found
+            expr = generate(goal.param_types, goal.ret, ct, goal.constants, spec,
+                            world, cfg, session.stats, deadline, session.start(spec))
+            found = expr is not None
             if found:
-                tuples.append(make_merge_tuple(session, result.expr, TRUE_COND,
-                                               frozenset({idx})))
+                tuples.append(make_merge_tuple(session, expr, TRUE_COND, frozenset({idx})))
         per_spec.append(PerSpecReport(
             spec.title, reused,
             session.stats.expanded - expanded_before,
@@ -160,6 +153,6 @@ def synthesize(goal: Goal, ct: ClassTable, world: World,
     for spec in goal.specs:
         if not session.run_body(body, spec).ok:
             return None, report(False, stage="final-gate")
-    program = Program(goal.name, goal.param_names(), body)
+    program = Program(goal.name, tuple(param_env(goal.param_types)), body)
     return program, report(True, program_size=expr_size(body),
                            paths=count_paths(body))

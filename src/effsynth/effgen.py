@@ -10,7 +10,7 @@ most-specific writers first.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .core import (
     Call, ClassStar, ClassTable, Effect, EffectHole, EffectPair, Expr,
@@ -18,7 +18,10 @@ from .core import (
     Star, TypedHole, TypeExpr, canon_effect, eff_subsumes,
     resolve_self, type_key, walk,
 )
-from .typegen import FULL_RULES, Product, RuleConfig, TypeEnv, fill_leftmost
+from .typegen import Product, TypeEnv, fill_leftmost
+
+if TYPE_CHECKING:
+    from .search import SearchConfig
 
 
 def _fresh_let_var(e: Expr) -> str:
@@ -48,15 +51,15 @@ def write_specificity(eff: Effect) -> int:
     return 2
 
 
-def expand_effect_hole(ct: ClassTable, path: Optional[HolePath],
-                       env: TypeEnv | None = None, cfg: RuleConfig = FULL_RULES,
-                       memo: Optional[dict] = None) -> list[Product]:
+def expand_effect_hole(ct: ClassTable, path: Optional[HolePath], env: TypeEnv,
+                       cfg: SearchConfig, memo: dict) -> list[Product]:
     """One-step expansions of path's hole if it is an effect hole: nil
     first, then one call template per method whose self-resolved write
-    effect subsumes the hole (every method when effect guidance is ablated).
-    A matching method's own read effect precedes the call as a fresh effect
-    hole unless pure. With types on, products go through the same path
-    check as typed-hole products (typegen.fill_leftmost)."""
+    effect subsumes the hole (every writing method without
+    cfg.effects_on). A matching method's own read effect precedes the call
+    as a fresh effect hole unless pure. With cfg.types_on, products go
+    through the same path check as typed-hole products
+    (typegen.fill_leftmost)."""
     if path is None or not isinstance(path.hole, EffectHole):
         return []
     eff = path.hole.eff
@@ -90,7 +93,7 @@ def expand_effect_hole(ct: ClassTable, path: Optional[HolePath],
                 out.append(Seq(EffectHole(resolved_r), call))
         return out
 
-    return fill_leftmost({} if env is None else env, ct, path, fills, cfg.types_on, memo)
+    return fill_leftmost(env, ct, path, fills, cfg.types_on, memo)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,9 @@ from .core import (
 )
 from .driver import Goal, Program
 from .interp import RESULT_VAR, SetupStmt, Spec
-from .runtime import SchemaDecl, World, install_core_methods, install_schema, relation_class
+from .runtime import (
+    SchemaDecl, World, install_core_methods, install_schema, is_native, relation_class,
+)
 from .sexp import ParseError, SExp, SInt, SList, SStr, Sym, parse_sexps, write_sexp
 from .typegen import TypeCheckError, typecheck
 
@@ -86,7 +88,7 @@ def parse_type(node: SExp, class_names: set[str]) -> TypeExpr:
         return ClassT(node.name)
     head = _head(node)
     if head == "class-of":
-        if len(node.items) != 2:
+        if len(node.items) != 2 or not isinstance(node.items[1], Sym):
             raise _err(node, "(class-of NAME)")
         return ClassOf(parse_type(node.items[1], class_names).name)
     if head == "u":
@@ -276,6 +278,8 @@ def _parse_method(form: SList, class_names: set[str]) -> MethodSig:
             write = parse_effect(el.items[1], class_names)
         elif head == "native" and len(el.items) == 2 and isinstance(el.items[1], SStr):
             native = el.items[1].value
+            if not is_native(native):
+                raise _err(extra, f"unknown native {native}")
         else:
             raise _err(extra, "expected (read EFF), (write EFF), or (native \"ID\")")
     return MethodSig(owner, name, params, ret, EffectPair(read, write), native)

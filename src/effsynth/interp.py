@@ -213,8 +213,11 @@ class SpecStart(Value):
         self.error = error
         self.error_stage = error_stage
 
-    def param_env(self) -> dict[str, RuntimeValue]:
-        return {f"arg{i}": v for i, v in enumerate(self.args)}
+
+def param_env(params: tuple) -> dict:
+    """The goal's argument scope: arg0, arg1, ... bound to params in order,
+    argument types for typing or argument values for evaluation."""
+    return {f"arg{i}": p for i, p in enumerate(params)}
 
 
 def spec_start(spec: Spec, goal_arity: int, world: World,
@@ -256,7 +259,7 @@ def run_spec(body: Expr, goal_arity: int, spec: Spec, world: World,
     world.restore(start.checkpoint)
     ev = Evaluator(world, ct)
     try:
-        result = ev.eval(start.param_env(), body)
+        result = ev.eval(param_env(start.args), body)
     except RuntimeError_ as exc:
         return SpecResult(0, RuntimeErr(exc.kind, exc.detail))
     env = dict(start.env)

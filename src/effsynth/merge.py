@@ -31,11 +31,11 @@ from .core import (
     NIL, Not, Or, RecordLit, RecordT, TRUE, TRUE_COND, TrueLit, TypeExpr, Value,
     Var, alpha_key, subtype,
 )
-from .interp import Evaluator, Spec, SpecResult, SpecStart, run_spec, spec_start
+from .interp import Evaluator, Spec, SpecResult, SpecStart, param_env, run_spec, spec_start
 from .runtime import RuntimeError_, World, record_v, truthy
 from .sat import implies_valid
 from .search import SearchConfig, SearchStats
-from .typegen import TypeCheckError, TypeEnv, node_type
+from .typegen import TypeCheckError, node_type
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +162,8 @@ class MergeSession:
             self.starts[id(spec)] = entry
         return entry[1]
 
-    def param_env(self) -> TypeEnv:
-        return {f"arg{i}": t for i, t in enumerate(self.goal_params)}
-
     def count_eval(self) -> None:
         self.stats.evaluated += 1
-
-    def absorb(self, stats: SearchStats) -> None:
-        self.stats.expanded += stats.expanded
-        self.stats.evaluated += stats.evaluated
-        self.stats.pops += stats.pops
-        self.stats.peak_queue = max(self.stats.peak_queue, stats.peak_queue)
 
     def run_body(self, body: Expr, spec: Spec) -> SpecResult:
         self.count_eval()
@@ -212,8 +203,8 @@ def _at_start(session: MergeSession, term, spec: Spec) -> object:
     ev = Evaluator(session.world, session.ct)
     try:
         if isinstance(term, (Atom, Not, Or)):
-            return ev.eval_cond(start.param_env(), term)
-        return ev.eval(start.param_env(), term)
+            return ev.eval_cond(param_env(start.args), term)
+        return ev.eval(param_env(start.args), term)
     except RuntimeError_:
         return ERR
 
@@ -328,8 +319,8 @@ class ConditionBank:
 
     def __init__(self, session: MergeSession) -> None:
         self.session = session
-        self.types_on = session.cfg.rules().types_on
-        self.env = session.param_env()
+        self.types_on = session.cfg.types_on
+        self.env = param_env(session.goal_params)
         self.levels: list[list[BankTerm]] = []
         self.by_key: dict = {}  # one kept term per key
         self.evaluated = 0  # candidates admitted, one battery each

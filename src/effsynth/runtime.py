@@ -358,10 +358,20 @@ _NATIVES = {
 }
 
 
+def is_native(native: str) -> bool:
+    """Whether invoke_native can run the native ID: a _NATIVES key, or a
+    column getter or setter minidb.get:COLUMN or minidb.set:COLUMN."""
+    prefix, _, column = native.partition(":")
+    return native in _NATIVES or (prefix in ("minidb.get", "minidb.set") and column != "")
+
+
 def invoke_native(world: World, sig: MethodSig, recv: RuntimeValue,
                   args: tuple[RuntimeValue, ...]) -> RuntimeValue:
+    """Run sig's native on recv and args. A method declared without a native
+    raises RuntimeError_ no-native, so a candidate calling it is dropped."""
     if sig.native is None:
-        raise DefinitionError(f"method {sig.owner_class()}#{sig.name} has no native binding")
+        raise RuntimeError_("no-native",
+                            f"method {sig.owner_class()}#{sig.name} has no native binding")
     if sig.native.startswith("minidb.get:"):
         col = sig.native.split(":", 1)[1]
         cls, row = _require_row(world, recv)

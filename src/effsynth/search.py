@@ -1,23 +1,24 @@
-"""The per-spec worklist synthesis loop.
+"""The per-spec worklist synthesis loop, `generate`.
 
 Candidates are explored best-first: most passed assertions, then smallest
 size, then insertion order. Popping a candidate descends once to its
-leftmost hole and expands it there; each worklist entry carries its
-candidate's size and hole count, and each product the deltas of both, so no
-product is walked again to size it or to tell whether it is complete.
-Complete expansions are evaluated immediately, failures with an assertion
-error are re-enqueued wrapped in an effect hole carrying the failure's read
-effect, and everything else goes back on the worklist until the size bound,
-the evaluation budget, or the deadline cuts the search off.
-"""
+leftmost hole and expands it there. A worklist entry is a plain
+(-passed, size, seq, candidate, holes) tuple, and each product carries how
+much its size and hole count differ from its candidate's, so no product is
+walked again to size it or to tell whether it is complete. Complete
+expansions are evaluated immediately, failures with an assertion error are
+re-enqueued wrapped in an effect hole carrying the failure's read effect,
+and everything else goes back on the worklist until the size bound, the
+evaluation budget, or the deadline cuts the search off. The search counts
+into its caller's SearchStats, so one set of counts can span a session."""
 
 from __future__ import annotations
 
-import heapq
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from heapq import heappop, heappush
+from typing import Optional
 
 from .core import (
     Call, ClassTable, ConstantPool, Expr, Let, NilLit, Seq, TypedHole,
@@ -25,9 +26,9 @@ from .core import (
     rebuild, walk,
 )
 from .effgen import expand_effect_hole, wrap_effect_hole
-from .interp import AssertErr, Spec, SpecResult, SpecStart, run_spec, spec_start
+from .interp import AssertErr, Spec, SpecStart, param_env, run_spec
 from .runtime import World
-from .typegen import RuleConfig, TypeEnv, expand_typed_hole, typecheck
+from .typegen import TypeEnv, expand_typed_hole, typecheck
 
 # Ablation modes build deeply right-nested candidates; the default CPython
 # limit is too tight for recursive AST walks over them.
@@ -62,11 +63,15 @@ class SearchConfig(Value):
         if self.timeout_s is not None and not self.timeout_s > 0:
             raise ValueError("timeout_s must be > 0")
 
-    def rules(self) -> RuleConfig:
-        return RuleConfig(
-            types_on=self.mode in ("full", "types_only"),
-            effects_on=self.mode in ("full", "effects_only"),
-        )
+    @property
+    def types_on(self) -> bool:
+        """Type guidance: hole fills and their paths must type."""
+        return self.mode in ("full", "types_only")
+
+    @property
+    def effects_on(self) -> bool:
+        """Effect guidance: an effect hole's writers must subsume it."""
+        return self.mode in ("full", "effects_only")
 
     @property
     def wrap_enabled(self) -> bool:
@@ -81,34 +86,6 @@ class SearchStats:
     evaluated: int = 0
     pops: int = 0
     peak_queue: int = 0
-
-
-class WorkItem(Value):
-    """Worklist entry: best-first by passed assertions, then candidate size,
-    then insertion order (seq is unique per search). The candidate's size
-    and number of holes travel with it, so no product is walked for them."""
-
-    __slots__ = ("passed", "cand", "seq", "size", "holes")
-
-    def __init__(self, passed: int, cand: Expr, seq: int, size: int, holes: int) -> None:
-        self.passed = passed
-        self.cand = cand
-        self.seq = seq
-        self.size = size
-        self.holes = holes
-
-    def key(self) -> tuple[int, int, int]:
-        return (-self.passed, self.size, self.seq)
-
-
-@dataclass
-class GenerateResult:
-    expr: Optional[Expr]
-    stats: SearchStats
-
-    @property
-    def found(self) -> bool:
-        return self.expr is not None
 
 
 # ---------------------------------------------------------------------------
@@ -165,35 +142,30 @@ def dedup_key(e: Expr, ct: ClassTable) -> object:
 # The loop
 # ---------------------------------------------------------------------------
 
-def search(
-    env: TypeEnv,
+def generate(
+    goal_params: tuple[TypeExpr, ...],
     ret_ty: TypeExpr,
     ct: ClassTable,
     sigma: ConstantPool,
+    spec: Spec,
+    world: World,
     cfg: SearchConfig,
-    evaluate: Callable[[Expr], SpecResult],
-    *,
-    stats: Optional[SearchStats] = None,
-    deadline: Optional[float] = None,
-) -> GenerateResult:
-    """Core worklist loop, parameterized by the candidate evaluator. The
-    deadline is an absolute time.monotonic() value checked between pops;
-    callers that own a whole synthesis session pass one so the budget spans
-    every search."""
-    if deadline is None and cfg.timeout_s is not None:
-        deadline = time.monotonic() + cfg.timeout_s
-    stats = stats if stats is not None else SearchStats()
-    found = _run(env, ret_ty, ct, sigma, cfg, cfg.rules(), evaluate,
-                 cfg.wrap_enabled, deadline, stats)
-    return GenerateResult(found, stats)
-
-
-def _run(env, ret_ty, ct, sigma, cfg, rules, evaluate, wrap_on, deadline,
-         stats) -> Optional[Expr]:
-    """The worklist loop: the passing candidate, or None once the worklist,
-    the evaluation budget, or the deadline runs out."""
+    stats: SearchStats,
+    deadline: Optional[float],
+    start: SpecStart,
+) -> Optional[Expr]:
+    """A complete expression passing one spec, or None once the worklist,
+    the evaluation budget, or the deadline runs out. Every candidate runs
+    from `start`, the spec's start. The search counts into `stats`, and
+    its budget is cfg.candidate_budget evaluations from the count at
+    entry. The deadline is an absolute time.monotonic() value checked
+    between pops, so one deadline can span every search of a session."""
+    env: TypeEnv = param_env(goal_params)
+    budget = stats.evaluated + cfg.candidate_budget
     seq = 0
-    heap: list[tuple[tuple[int, int, int], WorkItem]] = []
+    # (-passed, size, seq, candidate, holes): best-first by passed
+    # assertions, then size, then insertion order; seq is unique.
+    heap: list[tuple[int, int, int, Expr, int]] = []
     seen: set = set()
     fill_memo: dict = {}  # shared by every expansion of this search
 
@@ -203,8 +175,7 @@ def _run(env, ret_ty, ct, sigma, cfg, rules, evaluate, wrap_on, deadline,
         if key in seen:
             return
         seen.add(key)
-        item = WorkItem(passed, cand, seq, size, holes)
-        heapq.heappush(heap, (item.key(), item))
+        heappush(heap, (-passed, size, seq, cand, holes))
         seq += 1
         stats.peak_queue = max(stats.peak_queue, len(heap))
 
@@ -212,35 +183,34 @@ def _run(env, ret_ty, ct, sigma, cfg, rules, evaluate, wrap_on, deadline,
     while heap:
         if deadline is not None and time.monotonic() > deadline:
             return None
-        if stats.evaluated >= cfg.candidate_budget:
+        if stats.evaluated >= budget:
             return None
-        _, item = heapq.heappop(heap)
-        passed = item.passed
+        neg_passed, cand_size, _, cand, cand_holes = heappop(heap)
         stats.pops += 1
 
-        path = leftmost_hole(item.cand)
+        path = leftmost_hole(cand)
         if isinstance(path.hole, TypedHole):
-            products = expand_typed_hole(env, ct, sigma, path, rules, fill_memo)
+            products = expand_typed_hole(env, ct, sigma, path, cfg, fill_memo)
         else:
-            products = expand_effect_hole(ct, path, env, rules, fill_memo)
+            products = expand_effect_hole(ct, path, env, cfg, fill_memo)
         stats.expanded += len(products)
 
         for p, dsize, dholes in products:
-            size = item.size + dsize
-            holes = item.holes + dholes
+            size = cand_size + dsize
+            holes = cand_holes + dholes
             if holes == 0:
                 key = dedup_key(p, ct)
                 if key in seen:
                     continue
                 seen.add(key)
-                if stats.evaluated >= cfg.candidate_budget:
+                if stats.evaluated >= budget:
                     return None
-                res = evaluate(p)
+                res = run_spec(p, len(goal_params), spec, world, ct, start)
                 stats.evaluated += 1
                 if res.ok:
                     return p
-                if wrap_on and isinstance(res.outcome, AssertErr):
-                    ty = typecheck(env, ct, p, strict=False) if rules.types_on else ret_ty
+                if cfg.wrap_enabled and isinstance(res.outcome, AssertErr):
+                    ty = typecheck(env, ct, p, strict=False) if cfg.types_on else ret_ty
                     # Let, sequence and holes add no size: the wrapped term
                     # is as large as p and has two holes.
                     wrapped = wrap_effect_hole(p, res.outcome.eff, ty)
@@ -248,30 +218,5 @@ def _run(env, ret_ty, ct, sigma, cfg, rules, evaluate, wrap_on, deadline,
                         push(res.passed_count, wrapped, size, 2)
                 # Runtime errors carry no effect hint; the candidate is dropped.
             elif size <= cfg.max_size:
-                push(passed, p, size, holes)
+                push(-neg_passed, p, size, holes)
     return None
-
-
-def generate(
-    goal_params: tuple[TypeExpr, ...],
-    ret_ty: TypeExpr,
-    ct: ClassTable,
-    sigma: ConstantPool,
-    spec: Spec,
-    world: World,
-    cfg: SearchConfig,
-    stats: Optional[SearchStats] = None,
-    deadline: Optional[float] = None,
-    start: Optional[SpecStart] = None,
-) -> GenerateResult:
-    """Search for a complete expression passing one spec. Every candidate
-    runs from `start`, the spec's start; it is built here when not given."""
-    env: TypeEnv = {f"arg{i}": t for i, t in enumerate(goal_params)}
-    if start is None:
-        start = spec_start(spec, len(goal_params), world, ct)
-
-    def evaluate(body: Expr) -> SpecResult:
-        return run_spec(body, len(goal_params), spec, world, ct, start)
-
-    return search(env, ret_ty, ct, sigma, cfg, evaluate, stats=stats,
-                  deadline=deadline)

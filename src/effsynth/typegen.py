@@ -20,15 +20,18 @@ hole's scope, and then re-derives only the ancestors on the path.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .core import (
     Atom, BOOL_T, Call, ClassLit, ClassOf, ClassT, ClassTable,
     ConstantPool, DefinitionError, EffectHole, Expr, FalseLit, HolePath, If,
     IntLit, INT_T, Let, NIL_T, NilLit, Not, OBJ_T, Or, RecordLit, RecordT,
     Seq, StrLit, STR_T, SymLit, SYM_T, TrueLit, TypedHole, TypeExpr, UnionT,
-    Value, Var, children, expr_size, record_of, subtype, union_of, walk,
+    Var, children, expr_size, record_of, subtype, union_of, walk,
 )
+
+if TYPE_CHECKING:
+    from .search import SearchConfig
 
 TypeEnv = dict[str, TypeExpr]
 
@@ -38,22 +41,6 @@ class TypeCheckError(Exception):
         super().__init__(reason)
         self.node = node
         self.reason = reason
-
-
-class RuleConfig(Value):
-    """Which side conditions the synthesis rules enforce.
-
-    Ablations replace the subtype / effect-subsumption side conditions with
-    "always true" while the structural rules stay in place.
-    """
-
-    __slots__ = ("types_on", "effects_on")
-
-    def __init__(self, types_on: bool = True, effects_on: bool = True) -> None:
-        self.types_on, self.effects_on = types_on, effects_on
-
-
-FULL_RULES = RuleConfig()
 
 
 def _dispatch_member(member: TypeExpr, method: str, args: int, ct: ClassTable):
@@ -186,14 +173,14 @@ class Product(NamedTuple):
 
 def fill_leftmost(env: TypeEnv, ct: ClassTable, path: HolePath,
                   fills: Callable[[TypeEnv], list[Expr]], check: bool,
-                  memo: Optional[dict] = None) -> list[Product]:
+                  memo: dict) -> list[Product]:
     """The products of replacing path's hole by each of fills(scope), where
     scope is the environment at the hole, in fill order. With check, only
     the products whose whole-term typecheck would succeed are kept, decided
     along the path alone: the children off the path are typed once, each
     fill in the scope, then each ancestor is re-derived from its new child
     type, once per distinct fill type. memo, shared by the expansions of
-    one search (one class table, constant pool and rule set), keeps each
+    one search (one class table, constant pool and mode), keeps each
     (hole, scope)'s fills with their types and size and hole-count
     deltas."""
     try:
@@ -201,8 +188,6 @@ def fill_leftmost(env: TypeEnv, ct: ClassTable, path: HolePath,
     except TypeCheckError:
         # A term off the path does not type, so no product would.
         return []
-    if memo is None:
-        memo = {}
     key = (path.hole, tuple(scope.items()))
     entries = memo.get(key)
     if entries is None:
@@ -281,13 +266,14 @@ def _fill_entries(scope: TypeEnv, ct: ClassTable, fills: list[Expr], check: bool
 # ---------------------------------------------------------------------------
 
 def expand_typed_hole(env: TypeEnv, ct: ClassTable, sigma: ConstantPool,
-                      path: Optional[HolePath], cfg: RuleConfig = FULL_RULES,
-                      memo: Optional[dict] = None) -> list[Product]:
+                      path: Optional[HolePath], cfg: SearchConfig,
+                      memo: dict) -> list[Product]:
     """One-step expansions of path's hole if it is a typed hole, in
     deterministic order: constants, variables, record-field reads,
     method-call templates, then (for record-typed holes) one literal per
-    subset of optional keys. With types on, a product is dropped on a
-    narrowing contradiction anywhere in it (see fill_leftmost)."""
+    subset of optional keys. With cfg.types_on, a fill's type must fit the
+    hole and a product is dropped on a narrowing contradiction anywhere in
+    it (see fill_leftmost); without, every fill is offered."""
     if path is None or not isinstance(path.hole, TypedHole):
         return []
     target = path.hole.ty

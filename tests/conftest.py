@@ -1,11 +1,14 @@
 import random
+import time
 
 import pytest
 
 from effsynth.core import ClassTable, STR_T, leftmost_hole
 from effsynth.effgen import expand_effect_hole
+from effsynth.interp import spec_start
 from effsynth.runtime import SchemaDecl, World, install_core_methods, install_schema
-from effsynth.typegen import FULL_RULES, expand_typed_hole
+from effsynth.search import SearchConfig, SearchStats, generate
+from effsynth.typegen import expand_typed_hole
 
 
 @pytest.fixture
@@ -74,11 +77,22 @@ NEAR_TWINS = """
 """
 
 
-def expand_typed(env, ct, sigma, e, cfg=FULL_RULES):
+def expand_typed(env, ct, sigma, e, cfg=SearchConfig()):
     """The terms expand_typed_hole makes from e's leftmost hole."""
-    return [p.expr for p in expand_typed_hole(env, ct, sigma, leftmost_hole(e), cfg)]
+    return [p.expr for p in expand_typed_hole(env, ct, sigma, leftmost_hole(e), cfg, {})]
 
 
-def expand_effect(ct, e, env=None, cfg=FULL_RULES):
+def expand_effect(ct, e, env=None, cfg=SearchConfig()):
     """The terms expand_effect_hole makes from e's leftmost hole."""
-    return [p.expr for p in expand_effect_hole(ct, leftmost_hole(e), env, cfg)]
+    return [p.expr for p in expand_effect_hole(ct, leftmost_hole(e), env or {}, cfg, {})]
+
+
+def run_generate(goal_params, ret, ct, sigma, spec, world, cfg, stats=None):
+    """search.generate on one spec as synthesize calls it: the spec's start,
+    the deadline cfg.timeout_s from now, and fresh stats unless given.
+    Returns the expression found (or None) and the stats."""
+    stats = SearchStats() if stats is None else stats
+    deadline = None if cfg.timeout_s is None else time.monotonic() + cfg.timeout_s
+    start = spec_start(spec, len(goal_params), world, ct)
+    expr = generate(goal_params, ret, ct, sigma, spec, world, cfg, stats, deadline, start)
+    return expr, stats

@@ -73,6 +73,26 @@ class TestSynth:
         assert data["success"] is False
         assert data["failed_stage"] == "merge"
 
+    def test_method_without_native_fails_its_candidates(self, capsys, tmp_path):
+        # a declared method with no native loads; calling it is a runtime
+        # error that drops the candidate, not a traceback
+        goal = tmp_path / "loud.goal"
+        goal.write_text("""
+(schema Post (title Str))
+(method Post shout (params) Str)
+(constants (Post (class-of Post)))
+(goal loud
+  (sig (Post -> Str))
+  (consts Post)
+  (spec "shouts"
+    (setup (bind p (call Post create (record (title "hi")))) (call! p))
+    (post (assert (call x_r == "HI")))))
+""", encoding="utf-8")
+        code, out, err = run(capsys, "synth", str(goal), "--budget", "50")
+        assert code == 1
+        assert out == ""
+        assert err == "no solution for loud (spec:shouts, 50 candidates evaluated)\n"
+
     def test_parse_error_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.goal"
         bad.write_text("(goal", encoding="utf-8")
@@ -100,6 +120,10 @@ BAD_GOALS = [
     ("(class A (parent))" + SHORT_GOAL, "1:10: (parent NAME)"),
     ("(method Obj m (params) Obj ())" + SHORT_GOAL,
      '1:28: expected (read EFF), (write EFF), or (native "ID")'),
+    # class-of takes a class name, not a union or a record type
+    ("(method Obj m (params (class-of (u Post Obj))) Obj)" + SHORT_GOAL, "1:23: (class-of NAME)"),
+    ("(method Obj m (params) (class-of (record (a Str))))" + SHORT_GOAL, "1:24: (class-of NAME)"),
+    ('(method Obj m (params) Obj (native "nope"))' + SHORT_GOAL, "1:28: unknown native nope"),
 ]
 
 
@@ -108,7 +132,8 @@ class TestGoalParseErrors:
     @pytest.mark.parametrize("text,where", BAD_GOALS,
                              ids=["bad-escape", "unterminated-string", "unclosed-paren",
                                   "short-class", "short-schema", "short-parent",
-                                  "empty-method-extra"])
+                                  "empty-method-extra", "class-of-union", "class-of-record",
+                                  "unknown-native"])
     def test_exits_two_with_path_and_position(self, capsys, tmp_path, command, text, where):
         goal = tmp_path / "bad.goal"
         goal.write_text(text, encoding="utf-8")

@@ -11,7 +11,8 @@ from effsynth.effgen import (
     erase_effect, erase_table, expand_effect_hole, wrap_effect_hole,
     write_specificity,
 )
-from effsynth.typegen import RuleConfig, typecheck
+from effsynth.search import SearchConfig
+from effsynth.typegen import typecheck
 
 
 def title_read_err():
@@ -119,7 +120,8 @@ class TestExpandEffectHole:
         assert syncs[0].first == EffectHole(Effect((Region("User", "name"),)))
         # the product carries one more call and one more hole than the term
         products = expand_effect_hole(
-            ct, leftmost_hole(self.hole(Effect((Region("Post", "title"),)))))
+            ct, leftmost_hole(self.hole(Effect((Region("Post", "title"),)))), {},
+            SearchConfig(), {})
         [sync] = [p for p in products if p.expr.first == syncs[0]]
         assert (sync.dsize, sync.dholes) == (1, 1)
 
@@ -140,7 +142,7 @@ class TestExpandEffectHole:
 
     def test_effects_off_matches_every_impure_writer(self, blog):
         ct, _ = blog
-        cfg = RuleConfig(effects_on=False)
+        cfg = SearchConfig(mode="types_only")
         eff = Effect((Region("Post", "title"),))
         out = expand_effect(ct, self.hole(eff), cfg=cfg)
         methods = set()

@@ -4,10 +4,11 @@ that nothing uses.
 An `ast` scan over the library (`src/effsynth/*.py`, apart from the
 package's `__init__.py` re-exports) and the tests: every name an import
 binds must be read somewhere in the same file, in code or in a string
-annotation. A second scan: every module-level name the library defines must
-be referenced somewhere in `src/`, `tests/` or `benchmark/`, as a name, an
-attribute, an imported name or a string naming it (the tracer patches
-attributes by name).
+annotation. A second scan: every module-level name the library defines, and
+every method and property of its module-level classes apart from dunder
+methods, must be referenced somewhere in `src/`, `tests/` or `benchmark/`,
+as a name, an attribute, an imported name or a string naming it (the tracer
+patches attributes by name).
 """
 
 import ast
@@ -72,11 +73,18 @@ def test_scan_sees_an_unused_import():
 
 
 def _defined(tree: ast.Module) -> dict[str, int]:
-    """Module-level name -> line of its def, class or assignment."""
+    """Module-level name -> line of its def, class or assignment, and
+    Class.name -> line of each method or property of a module-level class,
+    apart from dunder methods."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             out[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    out[f"{node.name}.{item.name}"] = item.lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 for n in ast.walk(target):
@@ -99,20 +107,34 @@ def _referenced(tree: ast.Module) -> set[str]:
     return out
 
 
+def _unreferenced(defined: dict[str, int], referenced: set[str]) -> list[str]:
+    """The defined names, methods by their own name, that are not referenced."""
+    return sorted(name for name in defined if name.rsplit(".", 1)[-1] not in referenced)
+
+
 def test_every_library_name_is_referenced():
     referenced = set()
     for d in ("src", "tests", "benchmark"):
         for path in (ROOT / d).rglob("*.py"):
             referenced |= _referenced(ast.parse(path.read_text(encoding="utf-8")))
-    unused = sorted(f"{path.name}:{line} {name}" for path in LIBRARY
-                    for name, line in _defined(ast.parse(path.read_text(encoding="utf-8"))).items()
-                    if name not in referenced)
+    unused = []
+    for path in LIBRARY:
+        defined = _defined(ast.parse(path.read_text(encoding="utf-8")))
+        unused += [f"{path.name}:{defined[name]} {name}"
+                   for name in _unreferenced(defined, referenced)]
     assert not unused, f"names nothing references: {', '.join(unused)}"
 
 
 def test_scan_sees_an_unreferenced_name():
     tree = ast.parse("A = 1\nB: int = 2\n\ndef f():\n    return g.B\n\nclass C:\n    x = 'f'\n")
-    assert sorted(set(_defined(tree)) - _referenced(tree)) == ["A", "C"]
+    assert _unreferenced(_defined(tree), _referenced(tree)) == ["A", "C"]
+
+
+def test_scan_sees_an_unreferenced_method():
+    tree = ast.parse("class A:\n    def __init__(self):\n        self.used()\n"
+                     "    def used(self):\n        pass\n    def unused(self):\n        pass\n"
+                     "    @property\n    def prop(self):\n        pass\n\nA()\n")
+    assert _unreferenced(_defined(tree), _referenced(tree)) == ["A.prop", "A.unused"]
 
 
 def _frozen_dataclasses(tree: ast.Module) -> list[int]:

@@ -8,7 +8,7 @@ from effsynth.core import (
 )
 from effsynth.runtime import (
     BoolV, ClassV, IntV, NIL_V, ObjV, RuntimeError_, SchemaDecl, StrV,
-    generate_schema_methods, invoke_native, record_v, relation_class,
+    generate_schema_methods, invoke_native, is_native, record_v, relation_class,
 )
 
 
@@ -197,6 +197,19 @@ class TestNatives:
         sig = MethodSig(ClassT("Post"), "mystery", (), STR_T, native="minidb.nope")
         with pytest.raises(DefinitionError):
             invoke_native(world, sig, ClassV("Post"), ())
+
+    def test_method_without_native_is_runtime_error(self, blog):
+        ct, world = blog
+        sig = MethodSig(ClassT("Post"), "shout", (), STR_T)
+        with pytest.raises(RuntimeError_) as exc:
+            invoke_native(world, sig, ObjV("Post", 1), ())
+        assert exc.value.kind == "no-native"
+
+    def test_known_natives(self):
+        assert all(map(is_native, ["minidb.create", "core.eq", "minidb.get:title",
+                                   "minidb.set:slug"]))
+        assert not any(map(is_native, ["nope", "minidb.nope", "minidb.get:", "minidb.set",
+                                       "minidb.put:title"]))
 
     def test_equality_natives(self, blog):
         ct, world = blog

@@ -4,12 +4,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from effsynth.core import (
     BOOL_T, Call, ClassLit, ClassOf, ClassT, ConstantPool, EffectHole,
     FalseLit, IntLit, Let, NilLit, PURE, RecordLit, Seq, StrLit, STR_T,
-    TrueLit, TypedHole, Var, alpha_key, walk,
+    TrueLit, TypedHole, Var, alpha_key, expr_size, leftmost_hole, walk,
 )
-from effsynth.interp import SetupStmt, Spec, run_spec
-from effsynth.search import (
-    SearchConfig, SearchStats, dedup_key, generate, normalize_for_key,
-)
+from effsynth import search
+from effsynth.interp import RuntimeErr, SetupStmt, Spec, run_spec
+from effsynth.search import SearchConfig, SearchStats, dedup_key, normalize_for_key
+
+from conftest import run_generate
 
 
 def call(recv, m, *args):
@@ -154,14 +155,14 @@ class TestGenerate:
     def test_identity_goal(self, blog):
         ct, world = blog
         spec = mkspec([], [StrLit("v")], [eq(Var("x_r"), StrLit("v"))])
-        res = generate((STR_T,), STR_T, ct, BASE_CONSTS, spec, world, SearchConfig())
-        assert res.expr == Var("arg0")
+        expr, _ = run_generate((STR_T,), STR_T, ct, BASE_CONSTS, spec, world, SearchConfig())
+        assert expr == Var("arg0")
 
     def test_constant_goal(self, blog):
         ct, world = blog
         spec = mkspec([], [], [eq(Var("x_r"), FalseLit())])
-        res = generate((), BOOL_T, ct, BASE_CONSTS, spec, world, SearchConfig())
-        assert res.expr == FalseLit()
+        expr, _ = run_generate((), BOOL_T, ct, BASE_CONSTS, spec, world, SearchConfig())
+        assert expr == FalseLit()
 
     def test_effectful_goal_builds_let_seq_shape(self, blog):
         # the single-spec analogue of the retitling flow: the failing title
@@ -175,50 +176,60 @@ class TestGenerate:
         post = [eq(call(Var("x_r"), "id"), call(Var("p"), "id")),
                 eq(call(Var("x_r"), "title"), StrLit("new"))]
         spec = mkspec(setup, [StrLit("s"), StrLit("new")], post)
-        res = generate((STR_T, STR_T), ClassT("Post"), ct, sigma, spec, world,
-                       SearchConfig())
-        assert res.expr is not None
-        methods = [n.method for n in walk(res.expr) if isinstance(n, Call)]
+        expr, _ = run_generate((STR_T, STR_T), ClassT("Post"), ct, sigma, spec, world,
+                               SearchConfig())
+        assert expr is not None
+        methods = [n.method for n in walk(expr) if isinstance(n, Call)]
         assert "title=" in methods
-        assert run_spec(res.expr, 2, spec, world, ct).ok
+        assert run_spec(expr, 2, spec, world, ct).ok
 
     def test_no_solution_carries_stats(self, blog):
         ct, world = blog
         spec = mkspec([], [], [FalseLit()])
         cfg = SearchConfig(max_size=2, candidate_budget=50)
-        res = generate((), BOOL_T, ct, BASE_CONSTS, spec, world, cfg)
-        assert res.expr is None
-        assert res.stats.evaluated <= 50
-        assert res.stats.expanded > 0
+        expr, stats = run_generate((), BOOL_T, ct, BASE_CONSTS, spec, world, cfg)
+        assert expr is None
+        assert stats.evaluated <= 50
+        assert stats.expanded > 0
 
     def test_determinism(self, blog):
         ct, world = blog
         spec = mkspec([], [StrLit("v")], [eq(Var("x_r"), StrLit("v"))])
         runs = []
         for _ in range(2):
-            stats = SearchStats()
-            res = generate((STR_T,), STR_T, ct, BASE_CONSTS, spec, world,
-                           SearchConfig(), stats)
-            runs.append((res.expr, stats.evaluated, stats.expanded, stats.pops))
+            expr, stats = run_generate((STR_T,), STR_T, ct, BASE_CONSTS, spec, world,
+                                       SearchConfig())
+            runs.append((expr, stats.evaluated, stats.expanded, stats.pops))
         assert runs[0] == runs[1]
 
     def test_budget_monotonicity(self, blog):
         ct, world = blog
         spec = mkspec([], [StrLit("v")], [eq(Var("x_r"), StrLit("v"))])
-        small = generate((STR_T,), STR_T, ct, BASE_CONSTS, spec, world,
-                         SearchConfig(candidate_budget=10))
-        assert small.expr is not None
+        small, small_stats = run_generate((STR_T,), STR_T, ct, BASE_CONSTS, spec, world,
+                                          SearchConfig(candidate_budget=10))
+        assert small is not None
         for budget in (50, 500):
-            again = generate((STR_T,), STR_T, ct, BASE_CONSTS, spec, world,
-                             SearchConfig(candidate_budget=budget))
-            assert again.expr == small.expr
-            assert again.stats.evaluated == small.stats.evaluated
+            again, stats = run_generate((STR_T,), STR_T, ct, BASE_CONSTS, spec, world,
+                                        SearchConfig(candidate_budget=budget))
+            assert again == small
+            assert stats.evaluated == small_stats.evaluated
+
+    def test_budget_counts_from_the_count_at_entry(self, blog):
+        # a session's stats arrive with earlier searches' evaluations in
+        # them; the budget is this search's own
+        ct, world = blog
+        spec = mkspec([], [StrLit("v")], [eq(Var("x_r"), StrLit("v"))])
+        expr, stats = run_generate((STR_T,), STR_T, ct, BASE_CONSTS, spec, world,
+                                   SearchConfig(candidate_budget=5),
+                                   SearchStats(evaluated=1000))
+        assert expr == Var("arg0")
+        assert 1000 < stats.evaluated <= 1005
 
     def test_returned_candidate_passes_spec(self, blog):
         ct, world = blog
         spec = mkspec([], [StrLit("a")], [eq(Var("x_r"), StrLit("a"))])
-        res = generate((STR_T,), STR_T, ct, BASE_CONSTS, spec, world, SearchConfig())
-        result = run_spec(res.expr, 1, spec, world, ct)
+        expr, _ = run_generate((STR_T,), STR_T, ct, BASE_CONSTS, spec, world, SearchConfig())
+        result = run_spec(expr, 1, spec, world, ct)
         assert result.ok and result.passed_count == len(spec.post)
 
     def test_size_bound_prunes(self, blog):
@@ -227,16 +238,16 @@ class TestGenerate:
         setup = [SetupStmt(call(ClassLit("Post"), "create", RecordLit(())), "p")]
         spec = mkspec(setup, [], [eq(call(Var("x_r"), "id"), call(Var("p"), "id"))])
         cfg = SearchConfig(max_size=1, candidate_budget=2000)
-        res = generate((), ClassT("Post"), ct, sigma, spec, world, cfg)
+        expr, _ = run_generate((), ClassT("Post"), ct, sigma, spec, world, cfg)
         # the solution needs where({}).first of size 2, beyond the bound
-        assert res.expr is None
+        assert expr is None
 
     def test_timeout_stops_search(self, blog):
         ct, world = blog
         spec = mkspec([], [], [FalseLit()])
         cfg = SearchConfig(candidate_budget=10_000_000, timeout_s=0.2)
-        res = generate((), BOOL_T, ct, BASE_CONSTS, spec, world, cfg)
-        assert res.expr is None
+        expr, _ = run_generate((), BOOL_T, ct, BASE_CONSTS, spec, world, cfg)
+        assert expr is None
 
     def test_mode_none_cannot_build_sequenced_writes(self, blog):
         # without effect holes the let/seq shape is out of the grammar
@@ -248,8 +259,8 @@ class TestGenerate:
                 eq(call(Var("x_r"), "title"), StrLit("new"))]
         spec = mkspec(setup, [StrLit("new")], post)
         cfg = SearchConfig(mode="none", max_size=6, candidate_budget=3000)
-        res = generate((STR_T,), ClassT("Post"), ct, sigma, spec, world, cfg)
-        assert res.expr is None
+        expr, _ = run_generate((STR_T,), ClassT("Post"), ct, sigma, spec, world, cfg)
+        assert expr is None
 
     def test_priority_prefers_more_passed_asserts(self, blog):
         # instrumented check: the solution descends from the wrapped
@@ -264,32 +275,39 @@ class TestGenerate:
         post = [eq(call(Var("x_r"), "id"), call(Var("p"), "id")),
                 eq(call(Var("x_r"), "title"), StrLit("new"))]
         spec = mkspec(setup, [StrLit("s"), StrLit("new")], post)
-        res = generate((STR_T, STR_T), ClassT("Post"), ct, sigma, spec, world,
-                       SearchConfig())
-        assert isinstance(res.expr, Let)
-        assert res.stats.evaluated < 500
+        expr, stats = run_generate((STR_T, STR_T), ClassT("Post"), ct, sigma, spec, world,
+                                   SearchConfig())
+        assert isinstance(expr, Let)
+        assert stats.evaluated < 500
 
 
-class TestWorkItemOrdering:
-    def test_key_prefers_passed_then_size_then_seq(self):
-        from effsynth.search import WorkItem
+class TestWorklistOrder:
+    def test_pops_never_shrink_when_nothing_passes(self, blog, monkeypatch):
+        # with no assertion ever passing, best-first is smallest-first: the
+        # candidates popped (one leftmost_hole call each) never shrink
+        ct, world = blog
+        sigma = ConstantPool(((ClassLit("Post"), ClassOf("Post")), (StrLit(""), STR_T)))
+        spec = mkspec([], [StrLit("v")], [FalseLit()])
+        sizes = []
 
-        # the carried hole count plays no part in the order
-        a = WorkItem(passed=2, cand=Var("a"), seq=9, size=5, holes=3)
-        b = WorkItem(passed=1, cand=Var("b"), seq=1, size=0, holes=2)
-        c = WorkItem(passed=1, cand=Var("c"), seq=2, size=0, holes=1)
-        d = WorkItem(passed=1, cand=Var("d"), seq=0, size=3, holes=0)
-        assert sorted([d, c, b, a], key=lambda w: w.key()) == [a, b, c, d]
+        def watched(cand):
+            sizes.append(expr_size(cand))
+            return leftmost_hole(cand)
+
+        monkeypatch.setattr(search, "leftmost_hole", watched)
+        expr, stats = run_generate((STR_T,), ClassT("Post"), ct, sigma, spec, world,
+                                   SearchConfig(mode="none", candidate_budget=300))
+        assert expr is None
+        assert len(sizes) == stats.pops > 1
+        assert sizes == sorted(sizes) and sizes[-1] > sizes[0]
 
 
 class TestDispatchSoundness:
-    def test_well_typed_candidates_never_miss_methods(self, blog):
+    def test_well_typed_candidates_never_miss_methods(self, blog, monkeypatch):
         # runtime smoke property: every complete candidate the type-guided
         # search evaluates either runs, fails an assert, or trips on nil --
         # never on a missing method (nil receivers come from first-on-empty)
         ct, world = blog
-        from effsynth.core import ClassOf, ClassT
-        from effsynth.interp import RuntimeErr
 
         sigma = ConstantPool(((ClassLit("Post"), ClassOf("Post")),))
         setup = [SetupStmt(call(ClassLit("Post"), "create",
@@ -299,17 +317,15 @@ class TestDispatchSoundness:
                        eq(call(Var("x_r"), "title"), StrLit("z"))])
         kinds = []
 
-        def watched(body):
-            res = run_spec(body, 1, spec, world, ct)
+        def watched(*args):
+            res = run_spec(*args)
             if isinstance(res.outcome, RuntimeErr):
                 kinds.append(res.outcome.kind)
             return res
 
-        from effsynth.search import search
-        from effsynth.core import BOOL_T
-
-        search({"arg0": STR_T}, ClassT("Post"), ct, sigma,
-               SearchConfig(max_size=5, candidate_budget=400), watched)
+        monkeypatch.setattr(search, "run_spec", watched)
+        run_generate((STR_T,), ClassT("Post"), ct, sigma, spec, world,
+                     SearchConfig(max_size=5, candidate_budget=400))
         assert kinds, "expected some runtime failures among candidates"
         assert "method-missing" not in kinds
         assert set(kinds) <= {"nil-method-missing"}

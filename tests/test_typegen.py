@@ -1,4 +1,5 @@
 import itertools
+from heapq import heappush
 
 import pytest
 
@@ -16,9 +17,7 @@ from effsynth.effgen import expand_effect_hole
 from effsynth.goalfile import load_goal_file
 from effsynth.runtime import relation_class
 from effsynth.search import SearchConfig
-from effsynth.typegen import (
-    RuleConfig, TypeCheckError, expand_typed_hole, typecheck,
-)
+from effsynth.typegen import TypeCheckError, expand_typed_hole, typecheck
 
 
 def rec_t(**fields):
@@ -241,7 +240,7 @@ class TestExpandTypedHole:
     def test_types_off_ignores_subtyping(self, blog):
         ct, _ = blog
         env = {"arg0": STR_T, "arg1": INT_T}
-        cfg = RuleConfig(types_on=False)
+        cfg = SearchConfig(mode="effects_only")
         out = expand_typed(env, ct, ConstantPool(), TypedHole(ClassT("Post")), cfg)
         vars_out = [c for c in out if isinstance(c, Var)]
         assert vars_out == [Var("arg0"), Var("arg1")]
@@ -352,7 +351,7 @@ PATH_CASES = [
 
 
 class TestPathCheck:
-    @pytest.mark.parametrize("cfg", [RuleConfig(), RuleConfig(types_on=False)],
+    @pytest.mark.parametrize("cfg", [SearchConfig(), SearchConfig(mode="effects_only")],
                              ids=["types", "no-types"])
     @pytest.mark.parametrize("cand", PATH_CASES, ids=range(len(PATH_CASES)))
     def test_products_match_whole_term_check(self, blog, cand, cfg):
@@ -362,14 +361,14 @@ class TestPathCheck:
                               (ClassLit("Post"), ClassOf("Post"))))
         path = leftmost_hole(cand)
         if isinstance(path.hole, TypedHole):
-            products = expand_typed_hole(env, ct, sigma, path, cfg)
+            products = expand_typed_hole(env, ct, sigma, path, cfg, {})
         else:
-            products = expand_effect_hole(ct, path, env, cfg)
+            products = expand_effect_hole(ct, path, env, cfg, {})
         check_products(env, ct, sigma, path, cfg, products)
         if cfg.types_on and cand is PATH_CASES[0]:
             # the case is not vacuous: the body drops some fills
             assert 0 < len(products) < len(whole_term_products(
-                env, ct, sigma, cand, RuleConfig(types_on=False)))
+                env, ct, sigma, cand, SearchConfig(mode="effects_only")))
 
     @pytest.mark.parametrize("mode", ["full", "types_only", "effects_only"])
     def test_every_search_expansion_matches(self, monkeypatch, mode):
@@ -391,15 +390,15 @@ class TestPathCheck:
             seen.append(len(products))
             return products
 
-        class CheckedItem(search_mod.WorkItem):
-            def __init__(self, *args):
-                super().__init__(*args)
-                assert self.size == expr_size(self.cand)
-                assert self.holes == hole_count(self.cand) > 0
+        def checked_push(heap, entry):
+            _, size, _, cand, holes = entry
+            assert size == expr_size(cand)
+            assert holes == hole_count(cand) > 0
+            heappush(heap, entry)
 
         monkeypatch.setattr(search_mod, "expand_typed_hole", typed)
         monkeypatch.setattr(search_mod, "expand_effect_hole", effect)
-        monkeypatch.setattr(search_mod, "WorkItem", CheckedItem)
+        monkeypatch.setattr(search_mod, "heappush", checked_push)
         cfg = SearchConfig(mode=mode, candidate_budget=2000)
         _, report = synthesize(gf.goal, ct, world, cfg)
         assert sum(seen) == report.candidates_expanded > 0

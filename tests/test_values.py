@@ -12,7 +12,7 @@ from dataclasses import make_dataclass
 
 import pytest
 
-from effsynth import core, driver, goalfile, interp, merge, runtime, search, typegen
+from effsynth import core, driver, goalfile, interp, merge, runtime, search
 from effsynth.core import PURE, PURE_PAIR, STR_T, ClassT, Value
 
 # A field is its name, or (name, default) when it has one.
@@ -72,11 +72,9 @@ FIELDS = {
     merge.BankTerm: ("expr", "ty", "results"),
     search.SearchConfig: (("max_size", 64), ("mode", "full"), ("precision", "precise"),
                           ("candidate_budget", 50_000), ("timeout_s", None)),
-    search.WorkItem: ("passed", "cand", "seq", "size", "holes"),
     driver.Goal: ("name", "param_types", "ret", "constants", "specs"),
     driver.Program: ("name", "params", "body"),
     goalfile.GoalFile: ("classes", "schemas", "methods", "constants", "goal"),
-    typegen.RuleConfig: (("types_on", True), ("effects_on", True)),
 }
 
 # Constructor arguments that pass the classes' own checks.
@@ -113,7 +111,7 @@ def _make(cls, values):
 
 def test_every_value_class_is_listed():
     assert set(_library_values()) == set(FIELDS)
-    assert len(FIELDS) == 59
+    assert len(FIELDS) == 57
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
