@@ -50,7 +50,8 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=sorted(_MODE_FLAGS), default="full")
     p.add_argument("--precision", choices=PRECISIONS, default="precise")
     p.add_argument("--max-size", type=_positive_int, default=64)
-    p.add_argument("--budget", type=_positive_int, default=50_000)
+    p.add_argument("--budget", type=_positive_int, default=50_000,
+                   help="evaluations, and pops, per spec search")
     p.add_argument("--timeout", type=_positive_float, default=None,
                    help="wall-clock limit in seconds")
 
@@ -215,7 +216,8 @@ def main(argv=None) -> int:
     p.add_argument("dir")
     p.add_argument("--modes", default="full")
     p.add_argument("--precisions", default="precise")
-    p.add_argument("--budget", type=_positive_int, default=50_000)
+    p.add_argument("--budget", type=_positive_int, default=50_000,
+                   help="evaluations, and pops, per spec search")
     p.add_argument("--max-size", type=_positive_int, default=64)
     p.add_argument("--timeout", type=_positive_float, default=None)
     p.add_argument("--out", help="CSV output path (default stdout)")

@@ -7,7 +7,6 @@ ordered by subsumption, with Pure (empty) at the bottom and * at the top.
 
 from __future__ import annotations
 
-import itertools
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Union
 
@@ -477,12 +476,20 @@ class HolePath(Value):
 
     def plug(self, fill: Expr) -> Union[Expr, Cond]:
         """The term with the hole replaced by fill. Only the nodes on the path
-        are rebuilt; every subterm off it is shared with the term."""
+        are rebuilt; every subterm off it is shared with the term, as are a
+        call's argument tuple when the path runs through its receiver and a
+        record's other pairs."""
         e = fill
         for node, i, kids in reversed(self.frames):
-            new = list(kids)
-            new[i] = e
-            e = rebuild(node, new)
+            if isinstance(node, Call) and i == 0:
+                e = Call(e, node.method, node.args)
+            elif isinstance(node, RecordLit):
+                pairs = node.pairs
+                e = RecordLit(pairs[:i] + ((pairs[i][0], e),) + pairs[i + 1:])
+            else:
+                new = list(kids)
+                new[i] = e
+                e = rebuild(node, new)
         return e
 
 
@@ -538,35 +545,40 @@ def rebuild(e: Union[Expr, Cond], kids: list) -> Union[Expr, Cond]:
     return e
 
 
-def alpha_key(e: Union[Expr, Cond], env: Optional[dict[str, str]] = None, counter=None) -> tuple:
+def alpha_key(e: Union[Expr, Cond]) -> tuple:
     """Structural key with let-bound variables renamed in traversal order."""
-    if env is None:
-        env = {}
-    if counter is None:
-        counter = itertools.count()
-    if isinstance(e, Var):
+    return _alpha(e, {}, [0])
+
+
+_LITERALS = (IntLit, StrLit, SymLit, ClassLit)
+
+
+def _alpha(e, env: dict[str, str], counter: list) -> tuple:
+    t = type(e)
+    if t is Call:
+        return ("call", e.method, _alpha(e.recv, env, counter),
+                tuple([_alpha(a, env, counter) for a in e.args]))
+    if t is Var:
         return ("var", env.get(e.name, e.name))
-    if isinstance(e, Let):
-        fresh = f"%{next(counter)}"
-        bk = alpha_key(e.bound, env, counter)
+    if t is Let:
+        fresh = f"%{counter[0]}"
+        counter[0] += 1
+        bk = _alpha(e.bound, env, counter)
         inner = dict(env)
         inner[e.var] = fresh
-        return ("let", fresh, bk, alpha_key(e.body, inner, counter))
-    if isinstance(e, Call):
-        return ("call", e.method, alpha_key(e.recv, env, counter),
-                tuple(alpha_key(a, env, counter) for a in e.args))
-    if isinstance(e, RecordLit):
-        return ("record", tuple((k, alpha_key(v, env, counter)) for k, v in e.pairs))
-    if isinstance(e, TypedHole):
+        return ("let", fresh, bk, _alpha(e.body, inner, counter))
+    if t is RecordLit:
+        return ("record", tuple([(k, _alpha(v, env, counter)) for k, v in e.pairs]))
+    if t is TypedHole:
         return ("hole", type_key(e.ty))
-    if isinstance(e, EffectHole):
+    if t is EffectHole:
         return ("effhole", e.eff.atoms)
-    if isinstance(e, (IntLit, StrLit, SymLit, ClassLit)):
-        return (type(e).__name__, getattr(e, "value", None) or getattr(e, "name", None))
+    if t in _LITERALS:
+        return (t.__name__, getattr(e, "value", None) or getattr(e, "name", None))
     kids = children(e)
     if not kids:
-        return (type(e).__name__,)
-    return (type(e).__name__, tuple(alpha_key(c, env, counter) for c in kids))
+        return (t.__name__,)
+    return (t.__name__, tuple([_alpha(c, env, counter) for c in kids]))
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +717,47 @@ class ClassTable:
                 s.name for s in self._methods.values() if not s.eff.write.is_pure()
             )
         return self._impure_cache
+
+
+class CallMemo:
+    """What one synthesis call learns that depends only on its class table,
+    constant pool, parameter types and mode, so that every spec search, the
+    condition bank and the evaluator share it: made per call and dropped
+    with it (a goal file's validation makes its own for typing).
+
+    Each field is a plain dict, read with get and written by item
+    assignment, so a miss recomputes exactly what a hit returns. Keys by
+    identity (id of a term or an effect pair) come with an entry holding
+    that object, which keeps the id from being reused while the memo lives.
+    - expansions: id(candidate) -> typegen.Expansion of its leftmost hole,
+      with the dedup keys of its products;
+    - wraps: (id(candidate), read effect) -> (candidate, wrapped, its key);
+    - normal: id(binding) -> (binding, (its normal form for dedup keys,
+      whether that cannot write, whether it is plain)), per let binding;
+    - roots: return type -> the root typed hole of every search;
+    - fills: (hole, scope items) -> the hole's fill entries in that scope;
+    - calls: (method, strict, child types) -> the call rule's type, or the
+      (receiver member or None, reason) of its TypeCheckError;
+    - methods: (singleton receiver, class, method) -> its signature;
+    - effects: the same key -> the signature's effect pair, self-resolved
+      at that class;
+    - unions: (id(acc), id(pair)) -> (acc, pair, their union), for the
+      assertion accumulator.
+    """
+
+    __slots__ = ("expansions", "wraps", "normal", "roots", "fills", "calls", "methods",
+                 "effects", "unions")
+
+    def __init__(self) -> None:
+        self.expansions: dict = {}
+        self.wraps: dict = {}
+        self.normal: dict = {}
+        self.roots: dict = {}
+        self.fills: dict = {}
+        self.calls: dict = {}
+        self.methods: dict = {}
+        self.effects: dict = {}
+        self.unions: dict = {}
 
 
 def subtype(t1: TypeExpr, t2: TypeExpr, ct: ClassTable) -> bool:

@@ -6,12 +6,17 @@ The collected tuples are then merged into one decision list, and the final
 program is re-run against every spec as the one gate: stage `merge` means a
 branch had no separating condition, `final-gate` that the merged program
 fails a spec.
+
+A synthesis call makes one MergeSession, and with it one core.CallMemo for
+what depends only on the call's class table, constants, parameter types and
+mode. Every spec search, the condition bank and every evaluation read and
+fill it; it is dropped with the session, so nothing learned in one call is
+seen by the next, even on the same class table.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .core import (
@@ -55,37 +60,44 @@ def count_paths(e: Expr) -> int:
     return 1
 
 
-@dataclass
 class PerSpecReport:
-    spec: str
-    reused: bool
-    candidates_expanded: int
-    candidates_evaluated: int
-    wall_ms: float
+    __slots__ = ("spec", "reused", "candidates_expanded", "candidates_evaluated", "wall_ms")
 
-
-@dataclass
-class RunReport:
-    goal: str
-    mode: str
-    precision: str
-    success: bool
-    candidates_expanded: int
-    candidates_evaluated: int
-    per_spec: list[PerSpecReport]
-    wall_ms: float
-    program_size: Optional[int]
-    paths: Optional[int]
-    tuple_count: int
-    merge_orderings_tried: int
-    bank_candidates: int  # condition-bank candidates evaluated
-    bank_terms: int  # condition-bank terms kept
-    pops: int
-    peak_queue: int
-    failed_stage: Optional[str] = None
+    def __init__(self, spec: str, reused: bool, candidates_expanded: int,
+                 candidates_evaluated: int, wall_ms: float) -> None:
+        self.spec = spec
+        self.reused = reused
+        self.candidates_expanded = candidates_expanded
+        self.candidates_evaluated = candidates_evaluated
+        self.wall_ms = wall_ms
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f: getattr(self, f) for f in self.__slots__}
+
+
+class RunReport:
+    """What one synthesis call did, by field name (keyword arguments only;
+    failed_stage defaults to None). The reports are plain classes because
+    defining a dataclass takes about half a millisecond at every import."""
+
+    __slots__ = ("goal", "mode", "precision", "success", "candidates_expanded",
+                 "candidates_evaluated", "per_spec", "wall_ms", "program_size", "paths",
+                 "tuple_count", "merge_orderings_tried",
+                 "bank_candidates",  # condition-bank candidates evaluated
+                 "bank_terms",  # condition-bank terms kept
+                 "pops", "peak_queue", "failed_stage")
+
+    def __init__(self, **fields) -> None:
+        fields.setdefault("failed_stage", None)
+        if set(fields) != set(self.__slots__):
+            raise TypeError(f"report fields {sorted(set(fields) ^ set(self.__slots__))}")
+        for name, value in fields.items():
+            setattr(self, name, value)
+
+    def to_dict(self) -> dict:
+        out = {f: getattr(self, f) for f in self.__slots__}
+        out["per_spec"] = [p.to_dict() for p in self.per_spec]
+        return out
 
 
 def synthesize(goal: Goal, ct: ClassTable, world: World,
@@ -133,8 +145,8 @@ def synthesize(goal: Goal, ct: ClassTable, world: World,
                 reused = True
                 break
         if not reused:
-            expr = generate(goal.param_types, goal.ret, ct, goal.constants, spec,
-                            world, cfg, session.stats, deadline, session.start(spec))
+            expr = generate(goal.param_types, goal.ret, ct, goal.constants, spec, world,
+                            cfg, session.stats, deadline, session.start(spec), session.memo)
             found = expr is not None
             if found:
                 tuples.append(make_merge_tuple(session, expr, TRUE_COND, frozenset({idx})))

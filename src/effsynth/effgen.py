@@ -10,15 +10,16 @@ most-specific writers first.
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING, Optional
 
 from .core import (
-    Call, ClassStar, ClassTable, Effect, EffectHole, EffectPair, Expr,
+    Call, CallMemo, ClassStar, ClassTable, Effect, EffectHole, EffectPair, Expr,
     HolePath, Let, MethodSig, NilLit, Region, Seq, SelfRegion, SelfStar,
     Star, TypedHole, TypeExpr, canon_effect, eff_subsumes,
     resolve_self, type_key, walk,
 )
-from .typegen import Product, TypeEnv, fill_leftmost
+from .typegen import Expansion, TypeEnv, fill_leftmost
 
 if TYPE_CHECKING:
     from .search import SearchConfig
@@ -52,7 +53,7 @@ def write_specificity(eff: Effect) -> int:
 
 
 def expand_effect_hole(ct: ClassTable, path: Optional[HolePath], env: TypeEnv,
-                       cfg: SearchConfig, memo: dict) -> list[Product]:
+                       cfg: SearchConfig, memo: CallMemo) -> Expansion:
     """One-step expansions of path's hole if it is an effect hole: nil
     first, then one call template per method whose self-resolved write
     effect subsumes the hole (every writing method without
@@ -61,7 +62,7 @@ def expand_effect_hole(ct: ClassTable, path: Optional[HolePath], env: TypeEnv,
     through the same path check as typed-hole products
     (typegen.fill_leftmost)."""
     if path is None or not isinstance(path.hole, EffectHole):
-        return []
+        return Expansion(None, (), array("h"), array("h"))
     eff = path.hole.eff
 
     def fills(scope: TypeEnv) -> list[Expr]:
@@ -70,16 +71,11 @@ def expand_effect_hole(ct: ClassTable, path: Optional[HolePath], env: TypeEnv,
             # A pure hole is satisfied by nil alone; every write subsumes it,
             # so matching would flood the search with useless insertions.
             return out
-        ranked = sorted(
-            (sig for sig in ct.all_sigs()),
-            key=lambda s: (
-                -write_specificity(resolve_self(s.eff.write, s.owner_class(), ct)),
-                type_key(s.owner),
-                s.name,
-            ),
-        )
-        for sig in ranked:
-            resolved_w = resolve_self(sig.eff.write, sig.owner_class(), ct)
+        writes = [(sig, resolve_self(sig.eff.write, sig.owner_class(), ct))
+                  for sig in ct.all_sigs()]
+        ranked = sorted(writes, key=lambda sw: (
+            -write_specificity(sw[1]), type_key(sw[0].owner), sw[0].name))
+        for sig, resolved_w in ranked:
             if cfg.effects_on and not eff_subsumes(eff, resolved_w, ct):
                 continue
             if not cfg.effects_on and resolved_w.is_pure():

@@ -450,8 +450,9 @@ def build(gf: GoalFile) -> tuple[ClassTable, World]:
 
 def _validate(gf: GoalFile) -> None:
     ct, _ = build(gf)
+    calls: dict = {}  # the call rule's outcomes, for this validation only
     for lit, ty in gf.constants.entries:
-        got = typecheck({}, ct, lit)
+        got = typecheck({}, ct, lit, calls=calls)
         if not subtype(got, ty, ct):
             raise DefinitionError(f"constant {print_expr(lit)} is not a {print_type(ty)}")
     goal = gf.goal
@@ -459,7 +460,7 @@ def _validate(gf: GoalFile) -> None:
         env: dict[str, TypeExpr] = {}
         for stmt in spec.setup:
             try:
-                t = typecheck(env, ct, stmt.expr)
+                t = typecheck(env, ct, stmt.expr, calls=calls)
             except TypeCheckError as exc:
                 raise DefinitionError(
                     f"spec {spec.title!r} setup does not typecheck: {exc}") from None
@@ -469,14 +470,14 @@ def _validate(gf: GoalFile) -> None:
             raise DefinitionError(
                 f"spec {spec.title!r} calls the goal with {len(spec.call_args)} arguments")
         for arg, pty in zip(spec.call_args, goal.param_types):
-            t = typecheck(env, ct, arg)
+            t = typecheck(env, ct, arg, calls=calls)
             if not subtype(t, pty, ct):
                 raise DefinitionError(
                     f"spec {spec.title!r} argument {print_expr(arg)} is not a {print_type(pty)}")
         env[RESULT_VAR] = goal.ret
         for a in spec.post:
             try:
-                typecheck(env, ct, a)
+                typecheck(env, ct, a, calls=calls)
             except TypeCheckError as exc:
                 raise DefinitionError(
                     f"spec {spec.title!r} assertion does not typecheck: {exc}") from None

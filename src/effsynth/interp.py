@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from .core import (
-    Atom, Call, ClassLit, ClassOf, ClassT, ClassTable, Cond, DefinitionError,
+    Atom, Call, CallMemo, ClassLit, ClassOf, ClassT, ClassTable, Cond, DefinitionError,
     EffectPair, Expr, FalseLit, If, IntLit, Let, NilLit, Not, Or, PURE_PAIR,
     RecordLit, Seq, StrLit, SymLit, TrueLit, Value, Var, pair_union,
     resolve_self_pair,
@@ -102,11 +102,15 @@ RESULT_VAR = "x_r"
 
 class Evaluator:
     """Evaluates expressions against a world; charges declared method effects
-    (self-resolved at the call site) into an accumulator when one is active."""
+    (self-resolved at the call site) into an accumulator when one is active.
+    Each method's signature and resolved effect pair per receiver class,
+    and each union into the accumulator, are kept in the memo of the
+    synthesis call (core.CallMemo)."""
 
-    def __init__(self, world: World, ct: ClassTable) -> None:
+    def __init__(self, world: World, ct: ClassTable, memo: CallMemo) -> None:
         self.world = world
         self.ct = ct
+        self.memo = memo
         self.acc: Optional[EffectPair] = None
 
     def eval(self, env: dict[str, RuntimeValue], e: Expr) -> RuntimeValue:
@@ -172,24 +176,43 @@ class Evaluator:
                     return v
             return NIL_V  # absent optional field
         cls = runtime_class_of(recv)
-        owner = ClassOf(cls) if isinstance(recv, ClassV) else ClassT(cls)
-        try:
-            sig = self.ct.lookup_method(owner, method)
-        except DefinitionError as exc:
-            raise RuntimeError_("method-missing", str(exc)) from None
+        singleton = isinstance(recv, ClassV)
+        key = (singleton, cls, method)
+        sig = self.memo.methods.get(key)
+        if sig is None:
+            try:
+                sig = self.ct.lookup_method(ClassOf(cls) if singleton else ClassT(cls), method)
+            except DefinitionError as exc:
+                raise RuntimeError_("method-missing", str(exc)) from None
+            self.memo.methods[key] = sig
         if len(args) != len(sig.params):
             raise RuntimeError_("arity", f"{method} expects {len(sig.params)} args")
         if self.acc is not None:
-            resolved = resolve_self_pair(sig.eff, cls, self.ct)
-            self.acc = pair_union(self.acc, resolved, self.ct)
+            self.acc = self._charge(key, sig)
         return invoke_native(self.world, sig, recv, args)
+
+    def _charge(self, key: tuple, sig) -> EffectPair:
+        """The accumulator united with the effect pair of sig, called on the
+        receiver class in key, self-resolved. Every accumulator is
+        PURE_PAIR or a union kept in the memo, so unions are keyed by the
+        identity of the two pairs."""
+        memo = self.memo
+        resolved = memo.effects.get(key)
+        if resolved is None:
+            resolved = memo.effects[key] = resolve_self_pair(sig.eff, key[1], self.ct)
+        acc = self.acc
+        pair = (id(acc), id(resolved))
+        united = memo.unions.get(pair)
+        if united is None or united[0] is not acc or united[1] is not resolved:
+            united = memo.unions[pair] = (acc, resolved, pair_union(acc, resolved, self.ct))
+        return united[2]
 
 
 def eval_expr(env: dict[str, RuntimeValue], world: World, ct: ClassTable,
               e: Expr) -> RuntimeValue:
     """Evaluate an expression; raises RuntimeError_ on failure, with kind
     not-evaluable on a hole."""
-    return Evaluator(world, ct).eval(env, e)
+    return Evaluator(world, ct, CallMemo()).eval(env, e)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +243,13 @@ def param_env(params: tuple) -> dict:
     return {f"arg{i}": p for i, p in enumerate(params)}
 
 
-def spec_start(spec: Spec, goal_arity: int, world: World,
-               ct: ClassTable) -> SpecStart:
+def spec_start(spec: Spec, goal_arity: int, world: World, ct: ClassTable,
+               memo: Optional[CallMemo] = None) -> SpecStart:
     """Reset the world, run the spec's setup and evaluate the goal-call
-    arguments. An arity mismatch is reported before any argument runs."""
+    arguments. An arity mismatch is reported before any argument runs.
+    memo is the synthesis call's; without one the run keeps its own."""
     world.reset()
-    ev = Evaluator(world, ct)
+    ev = Evaluator(world, ct, CallMemo() if memo is None else memo)
     env: dict[str, RuntimeValue] = {}
     stage = "setup"
     try:
@@ -243,21 +267,25 @@ def spec_start(spec: Spec, goal_arity: int, world: World,
 
 
 def run_spec(body: Expr, goal_arity: int, spec: Spec, world: World,
-             ct: ClassTable, start: Optional[SpecStart] = None) -> SpecResult:
+             ct: ClassTable, start: Optional[SpecStart] = None,
+             memo: Optional[CallMemo] = None) -> SpecResult:
     """Restore the spec's start, call the candidate, then check assertions.
 
     `start` must come from spec_start on the same spec, arity and class
-    table; without one, run_spec builds it.
+    table; without one, run_spec builds it. `memo` is the synthesis
+    call's; without one the run keeps its own.
     Per assertion: method calls made while it evaluates accumulate their
     resolved effect pairs; a truthy value bumps the pass counter and clears
     the accumulator, a falsy value stops with the accumulated pair.
     """
+    if memo is None:
+        memo = CallMemo()
     if start is None:
-        start = spec_start(spec, goal_arity, world, ct)
+        start = spec_start(spec, goal_arity, world, ct, memo)
     if start.error is not None:
         return SpecResult(0, RuntimeErr(start.error.kind, start.error.detail))
     world.restore(start.checkpoint)
-    ev = Evaluator(world, ct)
+    ev = Evaluator(world, ct, memo)
     try:
         result = ev.eval(param_env(start.args), body)
     except RuntimeError_ as exc:

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
-    Atom, BOOL_T, Call, ClassTable, Cond, ConstantPool, Expr, FalseLit, If,
+    Atom, BOOL_T, Call, CallMemo, ClassTable, Cond, ConstantPool, Expr, FalseLit, If,
     NIL, Not, Or, RecordLit, RecordT, TRUE, TRUE_COND, TrueLit, TypeExpr, Value,
     Var, alpha_key, subtype,
 )
@@ -132,24 +131,30 @@ def _normalize_prog(e: Expr) -> Expr:
 # Session plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass
 class MergeSession:
-    """Everything condition synthesis and merging need to run and count."""
+    """Everything condition synthesis and merging need to run and count, for
+    one synthesis call: its specs and their starts, its counts, its
+    condition memo and bank, and its core.CallMemo, which the call's spec
+    searches, its bank and its evaluations share."""
 
-    goal_params: tuple[TypeExpr, ...]
-    ct: ClassTable
-    sigma: ConstantPool
-    world: World
-    cfg: SearchConfig
-    specs: tuple[Spec, ...]
-    cond_memo: dict = field(default_factory=dict)
-    stats: SearchStats = field(default_factory=SearchStats)
-    orderings_tried: int = 0  # 1 once the decision list has been rewritten
-    deadline: Optional[float] = None
-    # id(spec) -> (spec, its start); keyed by identity because hashing a
-    # Spec walks its whole setup.
-    starts: dict = field(default_factory=dict, init=False, repr=False)
-    bank: Optional["ConditionBank"] = field(default=None, init=False, repr=False)
+    def __init__(self, goal_params: tuple[TypeExpr, ...], ct: ClassTable,
+                 sigma: ConstantPool, world: World, cfg: SearchConfig,
+                 specs: tuple[Spec, ...], deadline: Optional[float] = None) -> None:
+        self.goal_params = goal_params
+        self.ct = ct
+        self.sigma = sigma
+        self.world = world
+        self.cfg = cfg
+        self.specs = specs
+        self.deadline = deadline
+        self.cond_memo: dict = {}
+        self.stats = SearchStats()
+        self.orderings_tried = 0  # 1 once the decision list has been rewritten
+        self.memo = CallMemo()
+        # id(spec) -> (spec, its start); keyed by identity because hashing a
+        # Spec walks its whole setup.
+        self.starts: dict = {}
+        self.bank: Optional[ConditionBank] = None
 
     def expired(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
@@ -158,7 +163,8 @@ class MergeSession:
         """The spec's start, built on first use and kept for the session."""
         entry = self.starts.get(id(spec))
         if entry is None or entry[0] is not spec:
-            entry = (spec, spec_start(spec, len(self.goal_params), self.world, self.ct))
+            entry = (spec, spec_start(spec, len(self.goal_params), self.world, self.ct,
+                                      self.memo))
             self.starts[id(spec)] = entry
         return entry[1]
 
@@ -168,7 +174,7 @@ class MergeSession:
     def run_body(self, body: Expr, spec: Spec) -> SpecResult:
         self.count_eval()
         return run_spec(body, len(self.goal_params), spec, self.world, self.ct,
-                        self.start(spec))
+                        self.start(spec), self.memo)
 
 
 def make_merge_tuple(session: MergeSession, expr: Expr, cond: Cond,
@@ -200,7 +206,7 @@ def _at_start(session: MergeSession, term, spec: Spec) -> object:
     if start.error is not None:
         return ERR
     session.world.restore(start.checkpoint)
-    ev = Evaluator(session.world, session.ct)
+    ev = Evaluator(session.world, session.ct, session.memo)
     try:
         if isinstance(term, (Atom, Not, Or)):
             return ev.eval_cond(param_env(start.args), term)
@@ -226,7 +232,7 @@ def _battery(session: MergeSession, term, specs, operands=()) -> tuple:
     if not operands:
         return tuple(_at_start(session, term, spec) for spec in specs)
     world = session.world
-    ev = Evaluator(world, session.ct)
+    ev = Evaluator(world, session.ct, session.memo)
     out = []
     for n, spec in enumerate(specs):
         start = session.start(spec)
@@ -426,7 +432,8 @@ class ConditionBank:
         if kid_tys is None:
             kid_tys = [k.ty for k in operands]
         try:
-            yield expr, node_type(self.env, self.session.ct, expr, kid_tys, True), operands
+            yield expr, node_type(self.env, self.session.ct, expr, kid_tys, True,
+                                  self.session.memo.calls), operands
         except TypeCheckError:
             pass
 

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from effsynth.core import ClassTable, STR_T, leftmost_hole
+from effsynth.core import CallMemo, ClassTable, STR_T, leftmost_hole
 from effsynth.effgen import expand_effect_hole
 from effsynth.interp import spec_start
 from effsynth.runtime import SchemaDecl, World, install_core_methods, install_schema
@@ -79,12 +79,12 @@ NEAR_TWINS = """
 
 def expand_typed(env, ct, sigma, e, cfg=SearchConfig()):
     """The terms expand_typed_hole makes from e's leftmost hole."""
-    return [p.expr for p in expand_typed_hole(env, ct, sigma, leftmost_hole(e), cfg, {})]
+    return [p.expr for p in expand_typed_hole(env, ct, sigma, leftmost_hole(e), cfg, CallMemo())]
 
 
 def expand_effect(ct, e, env=None, cfg=SearchConfig()):
     """The terms expand_effect_hole makes from e's leftmost hole."""
-    return [p.expr for p in expand_effect_hole(ct, leftmost_hole(e), env or {}, cfg, {})]
+    return [p.expr for p in expand_effect_hole(ct, leftmost_hole(e), env or {}, cfg, CallMemo())]
 
 
 def run_generate(goal_params, ret, ct, sigma, spec, world, cfg, stats=None):
@@ -93,6 +93,7 @@ def run_generate(goal_params, ret, ct, sigma, spec, world, cfg, stats=None):
     Returns the expression found (or None) and the stats."""
     stats = SearchStats() if stats is None else stats
     deadline = None if cfg.timeout_s is None else time.monotonic() + cfg.timeout_s
-    start = spec_start(spec, len(goal_params), world, ct)
-    expr = generate(goal_params, ret, ct, sigma, spec, world, cfg, stats, deadline, start)
+    memo = CallMemo()
+    start = spec_start(spec, len(goal_params), world, ct, memo)
+    expr = generate(goal_params, ret, ct, sigma, spec, world, cfg, stats, deadline, start, memo)
     return expr, stats

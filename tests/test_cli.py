@@ -91,7 +91,21 @@ class TestSynth:
         code, out, err = run(capsys, "synth", str(goal), "--budget", "50")
         assert code == 1
         assert out == ""
-        assert err == "no solution for loud (spec:shouts, 50 candidates evaluated)\n"
+        # 50 pops, the budget, leave 16 evaluations
+        assert err == "no solution for loud (spec:shouts, 16 candidates evaluated)\n"
+
+    def test_budget_ends_a_search_that_completes_nothing(self, capsys, tmp_path):
+        # no Bool term can be completed, so nothing is evaluated; the budget
+        # bounds the pops and synth gives up instead of running on
+        goal = tmp_path / "g.goal"
+        goal.write_text("""
+(schema Post (title Str))
+(goal g (sig (-> Bool)) (consts)
+  (spec "t" (setup (call!)) (post (assert (call x_r == true)))))
+""", encoding="utf-8")
+        code, out, err = run(capsys, "synth", str(goal), "--budget", "50")
+        assert code == 1
+        assert err == "no solution for g (spec:t, 0 candidates evaluated)\n"
 
     def test_parse_error_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.goal"

@@ -1,7 +1,7 @@
 import random
 
 from effsynth.core import (
-    Call, ClassLit, ClassOf, ClassStar, ClassT, Effect, EffectHole, EffectPair,
+    Call, CallMemo, ClassLit, ClassOf, ClassStar, ClassT, Effect, EffectHole, EffectPair,
     Let, NilLit, PURE, PURE_PAIR, RecordLit, Region, Seq, Star, STR_T,
     TypedHole, Var, canon_effect, eff_subsumes, expr_size, leftmost_hole,
     resolve_self,
@@ -121,7 +121,7 @@ class TestExpandEffectHole:
         # the product carries one more call and one more hole than the term
         products = expand_effect_hole(
             ct, leftmost_hole(self.hole(Effect((Region("Post", "title"),)))), {},
-            SearchConfig(), {})
+            SearchConfig(), CallMemo())
         [sync] = [p for p in products if p.expr.first == syncs[0]]
         assert (sync.dsize, sync.dholes) == (1, 1)
 

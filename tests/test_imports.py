@@ -157,3 +157,81 @@ def test_scan_sees_a_frozen_dataclass():
                      "@dataclasses.dataclass(frozen=True, eq=True)\nclass B:\n    y: int\n\n"
                      "@dataclass\nclass C:\n    z: int\n")
     assert _frozen_dataclasses(tree) == [1, 5]
+
+
+_MUTATORS = {"add", "append", "update", "setdefault", "clear"}
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _module_containers(tree: ast.Module) -> set[str]:
+    """Module-level names bound to a dict, list or set display, comprehension
+    or dict()/list()/set() call."""
+    out = set()
+    for node in tree.body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        if value is None:
+            continue
+        if not (isinstance(value, _CONTAINERS)
+                or (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                    and value.func.id in ("dict", "list", "set"))):
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        out |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return out
+
+
+def _locals(fn) -> set[str]:
+    """Names a function binds itself (parameters and stores), unless it
+    declares them global."""
+    args = fn.args
+    bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    bound |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    declared = set()
+    for n in ast.walk(fn):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            bound.add(n.id)
+        elif isinstance(n, ast.Global):
+            declared |= set(n.names)
+    return bound - declared
+
+
+def _global_mutations(tree: ast.Module) -> list[str]:
+    """`name:line` of each item assignment to, or add/append/update/
+    setdefault/clear call on, a module-level dict, list or set inside a
+    function: a cache that would outlive the call that fills it."""
+    shared = _module_containers(tree)
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        names = shared - (set() if isinstance(fn, ast.Lambda) else _locals(fn))
+        for n in ast.walk(fn):
+            targets = []
+            if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = [t.value for t in (n.targets if isinstance(n, ast.Assign)
+                                             else [n.target])
+                           if isinstance(t, ast.Subscript) and isinstance(t.value, ast.Name)]
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and n.func.attr in _MUTATORS and isinstance(n.func.value, ast.Name)):
+                targets = [n.func.value]
+            out += [f"{t.id}:{n.lineno}" for t in targets if t.id in names]
+    return sorted(set(out))
+
+
+def test_library_keeps_no_global_cache():
+    # whatever the library learns belongs to one synthesis call (its
+    # CallMemo) or one validation, never to the process
+    found = [f"{path.name} {hit}" for path in LIBRARY
+             for hit in _global_mutations(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, f"module-level containers mutated in functions: {', '.join(found)}"
+
+
+def test_scan_sees_a_global_memo():
+    tree = ast.parse(
+        "_MEMO = {}\n_SEEN: set = set()\n_ORDER = []\n_TABLE = {'a': 1}\n\n"
+        "def f(k):\n    _MEMO[k] = 1\n    _SEEN.add(k)\n    return _TABLE[k]\n\n"
+        "def g(k):\n    _ORDER.append(k)\n    kept = {}\n    kept[k] = _MEMO[k] = 2\n\n"
+        "def h(_MEMO):\n    _MEMO[0] = 1\n\n"
+        "def i():\n    global _TABLE\n    _TABLE = {}\n    _TABLE['b'] = 2\n")
+    assert _global_mutations(tree) == ["_MEMO:14", "_MEMO:7", "_ORDER:12", "_SEEN:8",
+                                       "_TABLE:22"]

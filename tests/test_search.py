@@ -4,9 +4,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from effsynth.core import (
     BOOL_T, Call, ClassLit, ClassOf, ClassT, ConstantPool, EffectHole,
     FalseLit, IntLit, Let, NilLit, PURE, RecordLit, Seq, StrLit, STR_T,
-    TrueLit, TypedHole, Var, alpha_key, expr_size, leftmost_hole, walk,
+    TrueLit, TypedHole, Var, alpha_key, children, expr_size, free_vars, leftmost_hole,
+    rebuild, walk,
 )
 from effsynth import search
+from effsynth.goalfile import build, parse_goal_file
 from effsynth.interp import RuntimeErr, SetupStmt, Spec, run_spec
 from effsynth.search import SearchConfig, SearchStats, dedup_key, normalize_for_key
 
@@ -24,6 +26,14 @@ def eq(a, b):
 def mkspec(setup, args, post, title="t"):
     return Spec(title, tuple(setup), tuple(args), tuple(post))
 
+
+# `synth --budget 50` on this goal ran until killed before the budget
+# bounded pops.
+NO_COMPLETE_TERM = """
+(schema Post (title Str))
+(goal g (sig (-> Bool)) (consts)
+  (spec "t" (setup (call!)) (post (assert (call x_r == true)))))
+"""
 
 BASE_CONSTS = ConstantPool((
     (TrueLit(), BOOL_T), (FalseLit(), BOOL_T), (StrLit(""), STR_T),
@@ -60,6 +70,14 @@ class TestDedupKey:
         a = Let("t0", StrLit("x"), Var("t0"))
         b = Let("zz", StrLit("x"), Var("zz"))
         assert dedup_key(a, ct) == dedup_key(b, ct)
+
+    def test_alpha_renaming_below_the_root(self, blog):
+        ct, _ = blog
+        a = call(Let("t0", StrLit("x"), Seq(Var("t0"), Var("t0"))), "title")
+        b = call(Let("zz", StrLit("x"), Seq(Var("zz"), Var("zz"))), "title")
+        assert dedup_key(a, ct) == dedup_key(b, ct)
+        c = call(Let("t0", StrLit("y"), Seq(Var("t0"), Var("t0"))), "title")
+        assert dedup_key(a, ct) != dedup_key(c, ct)
 
     def test_sequenced_nil_erased(self, blog):
         ct, _ = blog
@@ -151,6 +169,50 @@ class TestDedupKeyProperty:
         assert (dedup_key(a, ct) == dedup_key(b, ct)) == (old(a) == old(b))
 
 
+def _reference_normal(e, ct):
+    """normalize_for_key rule by rule: children first, then the three
+    erasures, with free variables and write effects found by full walks."""
+    kids = children(e)
+    if kids:
+        new = [_reference_normal(c, ct) for c in kids]
+        if new != list(kids):
+            e = rebuild(e, new)
+    if isinstance(e, Seq) and isinstance(e.first, NilLit):
+        return e.second
+    if isinstance(e, Let):
+        if isinstance(e.body, Var) and e.body.name == e.var:
+            return e.bound
+        impure = ct.impure_method_names()
+        if e.var not in free_vars(e.body) and not any(
+                isinstance(n, Call) and n.method in impure for n in walk(e.bound)):
+            return e.body
+    return e
+
+
+_SHARED_NORMAL: list = []  # one memo across examples, as a search shares one
+
+
+class TestNormalForm:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_the_rule_by_rule_reference(self, blog, data):
+        ct, _ = blog
+        if not _SHARED_NORMAL:
+            _SHARED_NORMAL.append({})
+        a = data.draw(_key_terms())
+        b = _variant(data.draw, a)
+        for e in (a, b, Let("t9", a, Seq(b, a))):
+            want = _reference_normal(e, ct)
+            assert normalize_for_key(e, ct) == want
+            assert normalize_for_key(e, ct, _SHARED_NORMAL[0]) == want
+
+        def old(e):
+            return alpha_key(_reference_normal(e, ct))
+
+        assert (dedup_key(a, ct, _SHARED_NORMAL[0]) == dedup_key(b, ct)) == (old(a) == old(b))
+
+
 class TestGenerate:
     def test_identity_goal(self, blog):
         ct, world = blog
@@ -224,6 +286,27 @@ class TestGenerate:
                                    SearchStats(evaluated=1000))
         assert expr == Var("arg0")
         assert 1000 < stats.evaluated <= 1005
+
+    def test_budget_bounds_pops_without_evaluations(self):
+        # no constant leads to Post, so no Bool term is ever complete and
+        # nothing is evaluated; the budget still ends the search, and the
+        # timeout only stops a search the budget failed to bound
+        gf = parse_goal_file(NO_COMPLETE_TERM)
+        ct, world = build(gf)
+        spec = gf.goal.specs[0]
+        cfg = SearchConfig(candidate_budget=50, timeout_s=30)
+        expr, stats = run_generate((), BOOL_T, ct, gf.goal.constants, spec, world, cfg)
+        assert expr is None
+        assert stats.evaluated == 0
+        assert 0 < stats.pops <= 50
+
+    def test_budget_counts_pops_from_the_count_at_entry(self):
+        gf = parse_goal_file(NO_COMPLETE_TERM)
+        ct, world = build(gf)
+        _, stats = run_generate((), BOOL_T, ct, gf.goal.constants, gf.goal.specs[0], world,
+                                SearchConfig(candidate_budget=50, timeout_s=30),
+                                SearchStats(pops=1000))
+        assert stats.pops == 1050
 
     def test_returned_candidate_passes_spec(self, blog):
         ct, world = blog
@@ -324,8 +407,10 @@ class TestDispatchSoundness:
             return res
 
         monkeypatch.setattr(search, "run_spec", watched)
+        # the budget bounds pops as well as evaluations: 2,500 pops make
+        # about 400 evaluations here
         run_generate((STR_T,), ClassT("Post"), ct, sigma, spec, world,
-                     SearchConfig(max_size=5, candidate_budget=400))
+                     SearchConfig(max_size=5, candidate_budget=2500))
         assert kinds, "expected some runtime failures among candidates"
         assert "method-missing" not in kinds
         assert set(kinds) <= {"nil-method-missing"}

@@ -6,7 +6,7 @@ import pytest
 from conftest import expand_effect, expand_typed
 from effsynth import search as search_mod
 from effsynth.core import (
-    Atom, BOOL_T, Call, ClassLit, ClassOf, ClassT, ConstantPool, Effect,
+    Atom, BOOL_T, Call, CallMemo, ClassLit, ClassOf, ClassT, ConstantPool, Effect,
     EffectHole, If, IntLit, INT_T, Let, NIL_T, NilLit, Not, OBJ_T, PURE,
     RecordLit, RecordT, Region, Seq, StrLit, STR_T, TrueLit, TypedHole, Var,
     alpha_key, children, expr_size, leftmost_hole, rebuild, record_of,
@@ -361,9 +361,9 @@ class TestPathCheck:
                               (ClassLit("Post"), ClassOf("Post"))))
         path = leftmost_hole(cand)
         if isinstance(path.hole, TypedHole):
-            products = expand_typed_hole(env, ct, sigma, path, cfg, {})
+            products = expand_typed_hole(env, ct, sigma, path, cfg, CallMemo())
         else:
-            products = expand_effect_hole(ct, path, env, cfg, {})
+            products = expand_effect_hole(ct, path, env, cfg, CallMemo())
         check_products(env, ct, sigma, path, cfg, products)
         if cfg.types_on and cand is PATH_CASES[0]:
             # the case is not vacuous: the body drops some fills
