@@ -4,7 +4,9 @@ A spec runs from its start: the world state, setup bindings and argument
 values just before the goal call. spec_start builds it by running the setup
 from an empty world once; every run_spec given that start restores its
 world checkpoint, so a synthesis call replays each spec's setup once and
-hands the same start to every candidate it evaluates on that spec.
+hands the same start to every candidate it evaluates on that spec. A
+restore shares the checkpoint's tables (runtime.World), so a run costs
+what it reads and writes.
 
 Spec execution counts passed assertions and, on an assertion failure, reports
 the read/write effect pair accumulated from method calls made while
@@ -103,9 +105,11 @@ RESULT_VAR = "x_r"
 class Evaluator:
     """Evaluates expressions against a world; charges declared method effects
     (self-resolved at the call site) into an accumulator when one is active.
-    Each method's signature and resolved effect pair per receiver class,
-    and each union into the accumulator, are kept in the memo of the
-    synthesis call (core.CallMemo)."""
+    eval looks up its rule by the expression's class in _EVAL. A method
+    call runs its native through this module's invoke_native. Each method's
+    signature and resolved effect pair per receiver class, and each union
+    into the accumulator, are kept in the memo of the synthesis call
+    (core.CallMemo)."""
 
     def __init__(self, world: World, ct: ClassTable, memo: CallMemo) -> None:
         self.world = world
@@ -114,46 +118,40 @@ class Evaluator:
         self.acc: Optional[EffectPair] = None
 
     def eval(self, env: dict[str, RuntimeValue], e: Expr) -> RuntimeValue:
-        if isinstance(e, NilLit):
-            return NIL_V
-        if isinstance(e, TrueLit):
-            return TRUE_V
-        if isinstance(e, FalseLit):
-            return FALSE_V
-        if isinstance(e, IntLit):
-            return IntV(e.value)
-        if isinstance(e, StrLit):
-            return StrV(e.value)
-        if isinstance(e, SymLit):
-            return SymV(e.name)
-        if isinstance(e, ClassLit):
-            return ClassV(e.name)
-        if isinstance(e, Var):
-            if e.name not in env:
-                raise RuntimeError_("unbound-var", e.name)
-            return env[e.name]
-        if isinstance(e, Seq):
-            self.eval(env, e.first)
-            return self.eval(env, e.second)
-        if isinstance(e, Let):
-            bound = self.eval(env, e.bound)
-            inner = dict(env)
-            inner[e.var] = bound
-            return self.eval(inner, e.body)
-        if isinstance(e, If):
-            if self.eval_cond(env, e.cond):
-                return self.eval(env, e.then)
-            return self.eval(env, e.orelse)
-        if isinstance(e, RecordLit):
-            items = {}
-            for k, v in e.pairs:
-                items[k] = self.eval(env, v)
-            return RecordV(tuple(sorted(items.items())))
-        if isinstance(e, Call):
-            recv = self.eval(env, e.recv)
-            args = tuple(self.eval(env, a) for a in e.args)
-            return self.call(recv, e.method, args)
-        raise RuntimeError_("not-evaluable", f"cannot evaluate {type(e).__name__}")
+        rule = _EVAL.get(type(e))
+        if rule is None:
+            raise RuntimeError_("not-evaluable", f"cannot evaluate {type(e).__name__}")
+        return rule(self, env, e)
+
+    def _var(self, env, e: Var) -> RuntimeValue:
+        if e.name not in env:
+            raise RuntimeError_("unbound-var", e.name)
+        return env[e.name]
+
+    def _seq(self, env, e: Seq) -> RuntimeValue:
+        self.eval(env, e.first)
+        return self.eval(env, e.second)
+
+    def _let(self, env, e: Let) -> RuntimeValue:
+        inner = dict(env)
+        inner[e.var] = self.eval(env, e.bound)
+        return self.eval(inner, e.body)
+
+    def _if(self, env, e: If) -> RuntimeValue:
+        return self.eval(env, e.then if self.eval_cond(env, e.cond) else e.orelse)
+
+    def _record(self, env, e: RecordLit) -> RuntimeValue:
+        items = {}
+        for k, v in e.pairs:
+            items[k] = self.eval(env, v)
+        return RecordV(tuple(sorted(items.items())))
+
+    def _call(self, env, e: Call) -> RuntimeValue:
+        recv = self.eval(env, e.recv)
+        args = []
+        for a in e.args:
+            args.append(self.eval(env, a))
+        return self.call(recv, e.method, tuple(args))
 
     def eval_cond(self, env: dict[str, RuntimeValue], c: Cond) -> bool:
         if isinstance(c, Atom):
@@ -166,20 +164,22 @@ class Evaluator:
 
     def call(self, recv: RuntimeValue, method: str,
              args: tuple[RuntimeValue, ...]) -> RuntimeValue:
-        if isinstance(recv, NilV):
+        if isinstance(recv, ClassV):
+            key = (True, recv.name, method)
+        elif isinstance(recv, NilV):
             raise RuntimeError_("nil-method-missing", method)
-        if isinstance(recv, RecordV):
+        elif isinstance(recv, RecordV):
             if args:
                 raise RuntimeError_("arity", f"record field {method} takes no arguments")
             for k, v in recv.pairs:
                 if k == method:
                     return v
             return NIL_V  # absent optional field
-        cls = runtime_class_of(recv)
-        singleton = isinstance(recv, ClassV)
-        key = (singleton, cls, method)
+        else:
+            key = (False, runtime_class_of(recv), method)
         sig = self.memo.methods.get(key)
         if sig is None:
+            singleton, cls, _ = key
             try:
                 sig = self.ct.lookup_method(ClassOf(cls) if singleton else ClassT(cls), method)
             except DefinitionError as exc:
@@ -206,6 +206,24 @@ class Evaluator:
         if united is None or united[0] is not acc or united[1] is not resolved:
             united = memo.unions[pair] = (acc, resolved, pair_union(acc, resolved, self.ct))
         return united[2]
+
+
+# Evaluator.eval's rule per expression class; a hole has none.
+_EVAL = {
+    NilLit: lambda ev, env, e: NIL_V,
+    TrueLit: lambda ev, env, e: TRUE_V,
+    FalseLit: lambda ev, env, e: FALSE_V,
+    IntLit: lambda ev, env, e: IntV(e.value),
+    StrLit: lambda ev, env, e: StrV(e.value),
+    SymLit: lambda ev, env, e: SymV(e.name),
+    ClassLit: lambda ev, env, e: ClassV(e.name),
+    Var: Evaluator._var,
+    Seq: Evaluator._seq,
+    Let: Evaluator._let,
+    If: Evaluator._if,
+    RecordLit: Evaluator._record,
+    Call: Evaluator._call,
+}
 
 
 def eval_expr(env: dict[str, RuntimeValue], world: World, ct: ClassTable,

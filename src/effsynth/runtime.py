@@ -7,9 +7,12 @@ effects that resolve to the receiving class at call sites.
 
 The world's state is values: a row is never changed in place (a column
 write replaces the row), and a `where` result is a relation value carrying
-the ids of the rows it matched. A checkpoint therefore copies only each
-table's id-to-row dict, and values made by one evaluation compare equal to
-those of another exactly when they denote the same rows.
+the ids of the rows it matched, so values made by one evaluation compare
+equal to those of another exactly when they denote the same rows. Tables
+are shared copy-on-write: a checkpoint and every world restored to it share
+its tables, and a world copies a table's id-to-row dict only when it first
+writes to it. A checkpointed table is never written again, so it keeps the
+column indexes its queries build.
 """
 
 from __future__ import annotations
@@ -97,12 +100,6 @@ class RecordV(Value):
     def __init__(self, pairs: tuple[tuple[str, RuntimeValue], ...]) -> None:
         self.pairs = pairs  # key-sorted
 
-    def get(self, key: str):
-        for k, v in self.pairs:
-            if k == key:
-                return v
-        return None
-
 
 RuntimeValue = Union[NilV, BoolV, IntV, StrV, SymV, ClassV, ObjV, RelationV, RecordV]
 
@@ -120,6 +117,10 @@ def truthy(v: RuntimeValue) -> bool:
 
 
 def runtime_class_of(v: RuntimeValue) -> str:
+    if isinstance(v, ObjV):
+        return v.cls
+    if isinstance(v, ClassV):
+        return v.name
     if isinstance(v, BoolV):
         return "Bool"
     if isinstance(v, IntV):
@@ -128,10 +129,6 @@ def runtime_class_of(v: RuntimeValue) -> str:
         return "Str"
     if isinstance(v, SymV):
         return "Sym"
-    if isinstance(v, ObjV):
-        return v.cls
-    if isinstance(v, ClassV):
-        return v.name
     if isinstance(v, RelationV):
         return relation_class(v.cls)
     if isinstance(v, NilV):
@@ -173,33 +170,72 @@ def relation_class(cls: str) -> str:
     return f"Relation[{cls}]"
 
 
-Tables = dict[str, dict[int, dict[str, RuntimeValue]]]
+Row = dict[str, RuntimeValue]
 
 
-def _copy_tables(tables: Tables) -> Tables:
-    """Rows are never changed in place, so a copy shares them."""
-    return {cls: dict(tbl) for cls, tbl in tables.items()}
+class Table(dict):
+    """One class's rows as a checkpoint holds them: id -> row, never written
+    once checkpointed. `columns` maps a column to its index, value -> the
+    ascending ids of the rows holding it, each built on its first query."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, rows=()) -> None:
+        super().__init__(rows)
+        self.columns: dict[str, dict[RuntimeValue, list[int]]] = {}
+
+    def matching(self, pairs: tuple[tuple[str, RuntimeValue], ...]) -> list[int]:
+        """Ids of the rows that hold every (column, value) of pairs,
+        ascending; the list may be the index's own, which nobody changes."""
+        if not pairs:
+            return sorted(self)
+        best = None
+        for col, v in pairs:
+            index = self.columns.get(col)
+            if index is None:
+                index = self.columns[col] = {}
+                for oid in sorted(self):
+                    row = self[oid]
+                    if col in row:
+                        index.setdefault(row[col], []).append(oid)
+            ids = index.get(v)
+            if ids is None:
+                return []
+            if best is None or len(ids) < len(best):
+                best = ids
+        if len(pairs) == 1:
+            return best
+        return [oid for oid in best if _matches(self[oid], pairs)]
+
+
+Tables = dict[str, dict[int, Row]]
 
 
 class Checkpoint(Value):
-    """A copy of a World's state, taken by World.checkpoint."""
+    """A World's state, taken by World.checkpoint: a Table per class."""
 
     __slots__ = ("tables", "next_id")
 
-    def __init__(self, tables: Tables, next_id: int) -> None:
+    def __init__(self, tables: dict[str, Table], next_id: int) -> None:
         self.tables, self.next_id = tables, next_id
 
 
 class World:
-    """Single-owner state: per-schema row tables and the next row id."""
+    """Single-owner state: per-schema row tables and the next row id.
+
+    The world starts from a base checkpoint: reset's empty one, the one
+    restored, or the one taken last. It shares the base's tables until it
+    writes one; `write` then copies that table and records the ids it
+    writes. A query reads the base table's index and re-checks only those
+    written rows, so a run from a checkpoint costs what it reads and
+    writes. After reset every row is written, so setup replay scans."""
 
     def __init__(self, schemas: dict[str, SchemaDecl]) -> None:
         self.schemas = dict(schemas)
         self.reset()
 
     def reset(self) -> None:
-        self.tables: Tables = {cls: {} for cls in self.schemas}
-        self.next_id = 1
+        self.restore(Checkpoint({cls: Table() for cls in self.schemas}, 1))
 
     def fresh_id(self) -> int:
         out = self.next_id
@@ -210,16 +246,43 @@ class World:
         return len(self.tables.get(cls, {}))
 
     def snapshot(self) -> Tables:
-        return _copy_tables(self.tables)
+        """A copy of the tables that no later write reaches."""
+        return {cls: dict(tbl) for cls, tbl in self.tables.items()}
 
     def checkpoint(self) -> Checkpoint:
-        return Checkpoint(self.snapshot(), self.next_id)
+        """The current state, which becomes the world's base."""
+        cp = Checkpoint({cls: tbl if cls not in self._written else Table(tbl)
+                         for cls, tbl in self.tables.items()}, self.next_id)
+        self.restore(cp)
+        return cp
 
     def restore(self, cp: Checkpoint) -> None:
         """Put the world back into the state `cp` was taken in; the
         checkpoint stays untouched, so it can be restored again."""
-        self.tables = _copy_tables(cp.tables)
+        self.tables: Tables = dict(cp.tables)
         self.next_id = cp.next_id
+        self._base = cp.tables
+        self._written: dict[str, set[int]] = {}
+
+    def write(self, cls: str, oid: int, row: Row) -> None:
+        """Store row as cls's row oid; the first write to a table since the
+        base copies it."""
+        written = self._written.get(cls)
+        if written is None:
+            written = self._written[cls] = set()
+            self.tables[cls] = dict(self.tables[cls])
+        written.add(oid)
+        self.tables[cls][oid] = row
+
+    def select(self, cls: str, pairs: tuple[tuple[str, RuntimeValue], ...]) -> list[int]:
+        """Ids of cls's rows that hold every (column, value) of pairs, ascending."""
+        ids = self._base[cls].matching(pairs)
+        written = self._written.get(cls)
+        if written:
+            table = self.tables[cls]
+            ids = sorted([oid for oid in ids if oid not in written]
+                         + [oid for oid in written if _matches(table[oid], pairs)])
+        return ids
 
 
 # ---------------------------------------------------------------------------
@@ -303,33 +366,29 @@ def _schema_for(world: World, recv: RuntimeValue) -> SchemaDecl:
     return world.schemas[recv.name]
 
 
-def _matches(row: dict[str, RuntimeValue], rec: RecordV) -> bool:
-    return all(k in row and row[k] == v for k, v in rec.pairs)
+def _matches(row: Row, pairs: tuple[tuple[str, RuntimeValue], ...]) -> bool:
+    return all(k in row and row[k] == v for k, v in pairs)
 
 
 def _native_create(world, sig, recv, args):
     schema = _schema_for(world, recv)
-    rec = _record_arg(args)
-    row: dict[str, RuntimeValue] = {}
+    given = dict(_record_arg(args).pairs)
+    row: Row = {}
     for col, ty in schema.columns:
-        given = rec.get(col)
-        row[col] = given if given is not None else _COLUMN_DEFAULTS[ty.name]
+        row[col] = given[col] if col in given else _COLUMN_DEFAULTS[ty.name]
     oid = world.fresh_id()
-    world.tables[schema.cls][oid] = row
+    world.write(schema.cls, oid, row)
     return ObjV(schema.cls, oid)
 
 
 def _native_exists(world, sig, recv, args):
     schema = _schema_for(world, recv)
-    rec = _record_arg(args)
-    return BoolV(any(_matches(row, rec) for row in world.tables[schema.cls].values()))
+    return BoolV(bool(world.select(schema.cls, _record_arg(args).pairs)))
 
 
 def _native_where(world, sig, recv, args):
     schema = _schema_for(world, recv)
-    rec = _record_arg(args)
-    return RelationV(schema.cls, tuple(sorted(
-        oid for oid, row in world.tables[schema.cls].items() if _matches(row, rec))))
+    return RelationV(schema.cls, tuple(world.select(schema.cls, _record_arg(args).pairs)))
 
 
 def _native_first(world, sig, recv, args):
@@ -369,27 +428,26 @@ def invoke_native(world: World, sig: MethodSig, recv: RuntimeValue,
                   args: tuple[RuntimeValue, ...]) -> RuntimeValue:
     """Run sig's native on recv and args. A method declared without a native
     raises RuntimeError_ no-native, so a candidate calling it is dropped."""
+    fn = _NATIVES.get(sig.native)
+    if fn is not None:
+        return fn(world, sig, recv, args)
     if sig.native is None:
         raise RuntimeError_("no-native",
                             f"method {sig.owner_class()}#{sig.name} has no native binding")
-    if sig.native.startswith("minidb.get:"):
-        col = sig.native.split(":", 1)[1]
+    kind, _, col = sig.native.partition(":")
+    if kind == "minidb.get":
         cls, row = _require_row(world, recv)
         if col == "id":
             return IntV(recv.obj_id)
         if col not in row:
             raise RuntimeError_("missing-column", f"{cls}.{col}")
         return row[col]
-    if sig.native.startswith("minidb.set:"):
-        col = sig.native.split(":", 1)[1]
+    if kind == "minidb.set":
         cls, row = _require_row(world, recv)
         if len(args) != 1:
             raise RuntimeError_("arity", f"{col}= takes one argument")
         if col not in row:
             raise RuntimeError_("missing-column", f"{cls}.{col}")
-        world.tables[cls][recv.obj_id] = {**row, col: args[0]}
+        world.write(cls, recv.obj_id, {**row, col: args[0]})
         return args[0]
-    fn = _NATIVES.get(sig.native)
-    if fn is None:
-        raise DefinitionError(f"unbound native {sig.native}")
-    return fn(world, sig, recv, args)
+    raise DefinitionError(f"unbound native {sig.native}")

@@ -235,3 +235,58 @@ def test_scan_sees_a_global_memo():
         "def i():\n    global _TABLE\n    _TABLE = {}\n    _TABLE['b'] = 2\n")
     assert _global_mutations(tree) == ["_MEMO:14", "_MEMO:7", "_ORDER:12", "_SEEN:8",
                                        "_TABLE:22"]
+
+
+_TABLE_MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__",
+                   "__delitem__"}
+
+
+def _is_table(node) -> bool:
+    """Whether node reads `….tables[…]`: one table of a world or checkpoint."""
+    return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "tables")
+
+
+def _table_writes(tree: ast.Module) -> list[int]:
+    """Lines, outside the methods of a module-level class World, that assign
+    or delete `….tables[…]` or `….tables[…][…]`, or call a mutating method
+    on `….tables[…]`."""
+    exempt = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "World":
+            exempt |= {id(n) for n in ast.walk(node)}
+    out = []
+    for n in ast.walk(tree):
+        if id(n) in exempt:
+            continue
+        targets = []
+        if isinstance(n, (ast.Assign, ast.Delete)):
+            targets = n.targets
+        elif isinstance(n, (ast.AugAssign, ast.AnnAssign)):
+            targets = [n.target]
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+              and n.func.attr in _TABLE_MUTATORS and _is_table(n.func.value)):
+            out.append(n.lineno)
+        out += [n.lineno for t in targets
+                if _is_table(t) or (isinstance(t, ast.Subscript) and _is_table(t.value))]
+    return sorted(out)
+
+
+def test_only_the_world_writes_tables():
+    # a checkpoint shares its tables with every world restored to it, and
+    # World.write copies a table before its first write; a write that went
+    # around it could change a checkpoint
+    found = [f"{path.name}:{line}" for path in LIBRARY
+             for line in _table_writes(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, f"table writes outside World: {', '.join(found)}"
+
+
+def test_scan_sees_a_table_write_outside_the_world():
+    tree = ast.parse(
+        "class World:\n    def write(self, c, i, r):\n        self.tables[c][i] = r\n\n"
+        "def f(world, cp, c, i, r):\n    world.tables[c][i] = r\n"
+        "    cp.tables[c].update({i: r})\n    del world.tables[c][i]\n"
+        "    world.tables[c] = {}\n    row = world.tables[c][i]\n"
+        "    world.tables[c].get(i)\n\n"
+        "class Other:\n    def g(self, c, i):\n        self.tables[c][i] += 1\n")
+    assert _table_writes(tree) == [6, 7, 8, 9, 15]

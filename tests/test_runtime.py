@@ -1,14 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from effsynth.core import (
-    BOOL_T, ClassOf, ClassStar, ClassT, DefinitionError, Effect, INT_T,
-    MethodSig, PURE, Region, SELF_STAR, STR_T, eff_subsumes, resolve_self,
+    BOOL_T, ClassOf, ClassStar, ClassT, ClassTable, DefinitionError, Effect, INT_T,
+    MethodSig, PURE, Region, SELF_STAR, STR_T, SYM_T, eff_subsumes, resolve_self,
 )
 from effsynth.runtime import (
-    BoolV, ClassV, IntV, NIL_V, ObjV, RuntimeError_, SchemaDecl, StrV,
-    generate_schema_methods, invoke_native, is_native, record_v, relation_class,
+    BoolV, ClassV, IntV, NIL_V, ObjV, RelationV, RuntimeError_, SchemaDecl, StrV, SymV,
+    World, _COLUMN_DEFAULTS, _matches, generate_schema_methods, install_core_methods,
+    install_schema, invoke_native, is_native, record_v, relation_class,
 )
 
 
@@ -74,19 +76,28 @@ class TestWorld:
         assert (world.snapshot(), world.next_id) == snap1
 
     def test_restore_shares_rows_and_writes_replace_them(self, blog):
+        # restore shares the checkpoint's tables; the first write to a table
+        # copies it, sharing the rows, and leaves the checkpoint unchanged
         ct, world = blog
         create = sig_of(ct, ClassOf("Post"), "create")
         set_title = sig_of(ct, ClassT("Post"), "title=")
         obj = invoke_native(world, create, ClassV("Post"), (record_v({"title": StrV("t")}),))
         cp = world.checkpoint()
-        for _ in range(2):
+        frozen = {cls: dict(table) for cls, table in cp.tables.items()}
+        for write in ("create", "set"):
             world.restore(cp)
-            for cls, table in cp.tables.items():
-                assert world.tables[cls] is not table
-                assert all(world.tables[cls][i] is row for i, row in table.items())
-            invoke_native(world, set_title, obj, (StrV("new"),))
-            assert world.tables["Post"][obj.obj_id]["title"] == StrV("new")
-            assert cp.tables["Post"][obj.obj_id]["title"] == StrV("t")
+            assert all(world.tables[cls] is table for cls, table in cp.tables.items())
+            if write == "create":
+                invoke_native(world, create, ClassV("Post"), (record_v({}),))
+            else:
+                invoke_native(world, set_title, obj, (StrV("new"),))
+            posts = world.tables["Post"]
+            assert posts is not cp.tables["Post"]
+            assert world.tables["User"] is cp.tables["User"]
+            shared = [i for i, row in cp.tables["Post"].items() if posts[i] is row]
+            assert shared == ([obj.obj_id] if write == "create" else [])
+            assert posts[obj.obj_id]["title"] == StrV("new" if write == "set" else "t")
+            assert cp.tables == frozen and cp.next_id == obj.obj_id + 1
 
     def test_epoch_restart_reuses_ids(self, blog):
         ct, world = blog
@@ -266,3 +277,161 @@ class TestWriteEffectCoverage:
             declared = resolve_self(sig.eff.write, sig.owner_class(), ct)
             for cell in changed:
                 assert eff_subsumes(cell, declared, ct), (name, cell, declared)
+
+
+# ---------------------------------------------------------------------------
+# Copy-on-write tables and column indexes, against worlds that copy and scan
+# ---------------------------------------------------------------------------
+
+ROW = SchemaDecl("Row", (("s", STR_T), ("i", INT_T), ("b", BOOL_T), ("y", SYM_T)))
+TAG = SchemaDecl("Tag", (("s", STR_T),))
+COLUMNS = ("s", "i", "b", "y")
+# Untyped modes can store any value in any column; IntV(1)/BoolV(True) and
+# StrV("a")/SymV("a") hash alike but are different values.
+VALUES = st.sampled_from([StrV("a"), SymV("a"), IntV(1), BoolV(True), IntV(0),
+                          BoolV(False), StrV(""), SymV("")])
+# 0-3 keys; "nope" is no column of either schema
+RECORDS = st.dictionaries(st.sampled_from(COLUMNS + ("nope",)), VALUES, max_size=3)
+CLASSES = st.sampled_from(["Row", "Tag"])
+WRITES = st.one_of(
+    st.tuples(st.just("create"), CLASSES, RECORDS),
+    st.tuples(st.just("set"), st.integers(0, 40), st.sampled_from(COLUMNS), VALUES),
+)
+OPS = st.one_of(
+    WRITES,
+    st.tuples(st.sampled_from(["where", "exists"]), CLASSES, RECORDS),
+    st.tuples(st.just("restore")),
+)
+
+
+def _row_world():
+    ct = ClassTable()
+    install_core_methods(ct)
+    install_schema(ct, ROW)
+    install_schema(ct, TAG)
+    return ct, World({"Row": ROW, "Tag": TAG})
+
+
+def _deep(tables) -> dict:
+    return {cls: {oid: dict(row) for oid, row in table.items()}
+            for cls, table in tables.items()}
+
+
+class CopyingWorld:
+    """The world before copy-on-write: restore copies every table, a column
+    write changes the world's own copy, a query scans the table."""
+
+    def __init__(self, schemas) -> None:
+        self.schemas = schemas
+        self.tables = {cls: {} for cls in schemas}
+        self.next_id = 1
+
+    def checkpoint(self) -> tuple:
+        return _deep(self.tables), self.next_id
+
+    def restore(self, cp: tuple) -> None:
+        self.tables, self.next_id = _deep(cp[0]), cp[1]
+
+    def run(self, op: tuple):
+        kind = op[0]
+        if kind == "create":
+            _, cls, rec = op
+            self.tables[cls][self.next_id] = {
+                col: rec.get(col, _COLUMN_DEFAULTS[ty.name])
+                for col, ty in self.schemas[cls].columns}
+            self.next_id += 1
+            return ObjV(cls, self.next_id - 1)
+        if kind == "set":
+            _, pick, col, v = op
+            oid = pick % self.next_id
+            if oid not in self.tables["Row"]:
+                return "missing-row"
+            self.tables["Row"][oid][col] = v
+            return v
+        _, cls, rec = op
+        pairs = record_v(rec).pairs
+        ids = tuple(sorted(oid for oid, row in self.tables[cls].items()
+                           if _matches(row, pairs)))
+        return RelationV(cls, ids) if kind == "where" else BoolV(bool(ids))
+
+
+def _run(ct, world, op: tuple):
+    """op on the world through its natives, as CopyingWorld.run answers it."""
+    kind = op[0]
+    if kind == "set":
+        _, pick, col, v = op
+        try:
+            return invoke_native(world, sig_of(ct, ClassT("Row"), f"{col}="),
+                                 ObjV("Row", pick % world.next_id), (v,))
+        except RuntimeError_ as exc:
+            return exc.kind
+    name = {"create": "create", "where": "where", "exists": "exists?"}[kind]
+    _, cls, rec = op
+    return invoke_native(world, sig_of(ct, ClassOf(cls), name), ClassV(cls),
+                         (record_v(rec),))
+
+
+class TestCopyOnWrite:
+    @settings(max_examples=200, deadline=None)
+    @given(phases=st.lists(st.lists(OPS, max_size=12), min_size=3, max_size=3))
+    def test_copy_on_write_never_reaches_a_checkpoint(self, phases):
+        # a checkpoint after each of the first two phases; every restore
+        # takes the other checkpoint than the last one did
+        ct, world = _row_world()
+        oracle = CopyingWorld(world.schemas)
+        taken = []  # (checkpoint, the oracle's, a deep copy made when taken)
+        restores = 0
+        for n, ops in enumerate(phases):
+            for op in ops:
+                if op[0] == "restore":
+                    if taken:
+                        cp, oracle_cp, _ = taken[restores % len(taken)]
+                        world.restore(cp)
+                        oracle.restore(oracle_cp)
+                        restores += 1
+                else:
+                    assert _run(ct, world, op) == oracle.run(op), op
+                assert world.snapshot() == oracle.tables
+                assert world.next_id == oracle.next_id
+            if n < 2:
+                cp = world.checkpoint()
+                taken.append((cp, oracle.checkpoint(), (_deep(cp.tables), cp.next_id)))
+        for cp, _, (tables, next_id) in taken:
+            assert cp.tables == tables and cp.next_id == next_id
+
+
+class TestIndexedQueries:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(RECORDS, max_size=12), writes=st.lists(WRITES, max_size=6),
+           queries=st.lists(st.tuples(st.sampled_from(["where", "exists"]), CLASSES,
+                                      RECORDS), min_size=1, max_size=8))
+    def test_indexed_queries_equal_the_scan(self, rows, writes, queries):
+        ct, world = _row_world()
+        for rec in rows:
+            _run(ct, world, ("create", "Row", rec))
+        # right after reset every row is written; after the checkpoint the
+        # table is clean; then some rows are written again
+        for stage in ("replayed", "clean", "written"):
+            if stage == "clean":
+                world.restore(world.checkpoint())
+            if stage == "written":
+                for op in writes:
+                    _run(ct, world, op)
+            for kind, cls, rec in queries:
+                pairs = record_v(rec).pairs
+                scan = tuple(sorted(oid for oid, row in world.tables[cls].items()
+                                    if _matches(row, pairs)))
+                got = _run(ct, world, (kind, cls, rec))
+                assert got == (RelationV(cls, scan) if kind == "where"
+                               else BoolV(bool(scan))), (stage, rec)
+
+    def test_hash_colliding_values_stay_apart(self):
+        ct, world = _row_world()
+        for v in (IntV(1), BoolV(True), StrV("a"), SymV("a")):
+            _run(ct, world, ("create", "Row", {"i": v, "s": v}))
+        world.restore(world.checkpoint())
+        for n, v in enumerate((IntV(1), BoolV(True), StrV("a"), SymV("a")), start=1):
+            for col in ("i", "s"):
+                assert _run(ct, world, ("where", "Row", {col: v})) == RelationV("Row", (n,))
+        assert _run(ct, world, ("where", "Row", {"nope": IntV(1)})) == RelationV("Row", ())
+        assert _run(ct, world, ("where", "Row", {})) == RelationV("Row", (1, 2, 3, 4))

@@ -9,6 +9,7 @@ merging, and checks that the hooks fired and agree with the run report.
 
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +19,7 @@ sys.path.insert(0, str(ROOT / "benchmark"))
 from spans import Tracer, install, install_loading  # noqa: E402
 
 from effsynth.driver import synthesize  # noqa: E402
-from effsynth import goalfile  # noqa: E402
+from effsynth import goalfile, merge, runtime  # noqa: E402
 from effsynth.goalfile import load_goal_file  # noqa: E402
 from effsynth.search import SearchConfig  # noqa: E402
 
@@ -52,6 +53,42 @@ def test_spans_cover_the_layers_and_agree_with_the_report():
     assert 0 < report.bank_terms <= report.bank_candidates
     # the traced benchmark checks rewrites against the reported orderings
     assert calls["merge.rewrite"] == report.merge_orderings_tried == 1
+
+
+def test_native_spans_and_resets_count_what_ran(monkeypatch):
+    # Counted below the tracer's hooks: every native that runs is a
+    # _NATIVES entry or a column getter or setter, each of which looks up
+    # its row once with _require_row. An evaluator that reached natives
+    # other than through interp.invoke_native would run natives that no
+    # runtime.native span records.
+    ran = Counter()
+
+    def counting(key, fn):
+        def run(*args):
+            ran[key] += 1
+            return fn(*args)
+        return run
+
+    for native, fn in list(runtime._NATIVES.items()):
+        monkeypatch.setitem(runtime._NATIVES, native, counting(native, fn))
+    monkeypatch.setattr(runtime, "_require_row", counting("column", runtime._require_row))
+    monkeypatch.setattr(merge, "spec_start", counting("spec_start", merge.spec_start))
+
+    lib = SimpleNamespace(**{m: importlib.import_module(f"effsynth.{m}") for m in MODULES})
+    gf, ct, world = load_goal_file(str(ROOT / "goals" / "s5_branching.goal"))
+    tracer = Tracer()
+    try:
+        install(tracer, lib)
+        program, _ = synthesize(gf.goal, ct, world, SearchConfig())
+    finally:
+        tracer.restore()
+
+    assert program is not None
+    starts = ran.pop("spec_start")
+    assert tracer.summary()["calls"]["runtime.native"] == sum(ran.values()) > 0
+    assert tracer.counts["runtime.create_calls"] == ran["minidb.create"] > 0
+    # each spec's start replays its setup from one reset, and nothing else resets
+    assert tracer.counts["interp.world_resets"] == starts == len(gf.goal.specs)
 
 
 def test_loading_spans_cover_reader_validation_and_build():
