@@ -22,14 +22,9 @@ _MODE_FLAGS = {"full": "full", "types-only": "types_only",
                "effects-only": "effects_only", "none": "none"}
 
 
-def _config(args) -> SearchConfig:
-    return SearchConfig(
-        max_size=args.max_size,
-        mode=_MODE_FLAGS[args.mode],
-        precision=args.precision,
-        candidate_budget=args.budget,
-        timeout_s=args.timeout,
-    )
+def _config(args, mode: str, precision: str) -> SearchConfig:
+    return SearchConfig(max_size=args.max_size, mode=_MODE_FLAGS[mode], precision=precision,
+                        candidate_budget=args.budget, timeout_s=args.timeout)
 
 
 def _positive_int(text: str) -> int:
@@ -75,8 +70,8 @@ def _load_program(path: str, ct) -> Program:
 
 def cmd_synth(args) -> int:
     gf, ct, world = _load(args.file)
-    cfg = _config(args)
-    program, report = synthesize(gf.goal, ct, world, cfg)
+    program, report = synthesize(gf.goal, ct, world,
+                                 _config(args, args.mode, args.precision))
     if args.report:
         Path(args.report).write_text(json.dumps(report.to_dict(), indent=2) + "\n",
                                      encoding="utf-8")
@@ -159,12 +154,8 @@ def cmd_bench(args) -> int:
         gf, ct, world = _load(str(path))
         for mode in modes:
             for precision in precisions:
-                cfg = SearchConfig(
-                    max_size=args.max_size,
-                    mode=_MODE_FLAGS[mode], precision=precision,
-                    candidate_budget=args.budget, timeout_s=args.timeout,
-                )
-                program, report = synthesize(gf.goal, ct, world, cfg)
+                program, report = synthesize(gf.goal, ct, world,
+                                             _config(args, mode, precision))
                 rows.append({
                     "goal": gf.goal.name,
                     "mode": mode,

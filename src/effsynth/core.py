@@ -449,16 +449,14 @@ def walk(e: Union[Expr, Cond]) -> Iterator[Union[Expr, Cond]]:
 
 def expr_size(e: Union[Expr, Cond]) -> int:
     """AST size: method calls and record pairs cost 1 each, all else is free."""
-    if isinstance(e, Call):
-        return 1 + expr_size(e.recv) + sum(expr_size(a) for a in e.args)
-    if isinstance(e, RecordLit):
-        return len(e.pairs) + sum(expr_size(v) for _, v in e.pairs)
-    return sum(expr_size(c) for c in children(e))
+    t = type(e)
+    own = 1 if t is Call else len(e.pairs) if t is RecordLit else 0
+    return own + sum(map(expr_size, children(e)))
 
 
 def is_complete(e: Union[Expr, Cond]) -> bool:
     """True iff the term contains no typed hole and no effect hole."""
-    return not any(isinstance(n, (TypedHole, EffectHole)) for n in walk(e))
+    return leftmost_hole(e) is None
 
 
 class HolePath(Value):
@@ -481,9 +479,14 @@ class HolePath(Value):
         record's other pairs."""
         e = fill
         for node, i, kids in reversed(self.frames):
-            if isinstance(node, Call) and i == 0:
-                e = Call(e, node.method, node.args)
-            elif isinstance(node, RecordLit):
+            t = type(node)
+            if t is Call:
+                a = node.args
+                e = (Call(e, node.method, a) if i == 0
+                     else Call(node.recv, node.method, a[:i - 1] + (e,) + a[i:]))
+            elif t is Seq:
+                e = Seq(e, kids[1]) if i == 0 else Seq(kids[0], e)
+            elif t is RecordLit:
                 pairs = node.pairs
                 e = RecordLit(pairs[:i] + ((pairs[i][0], e),) + pairs[i + 1:])
             else:
@@ -500,16 +503,23 @@ def leftmost_hole(e: Union[Expr, Cond]) -> Optional[HolePath]:
     return None if hole is None else HolePath(hole, tuple(frames))
 
 
+_HOLES = (TypedHole, EffectHole)
+
+
 def _descend(e, frames: list):
-    if isinstance(e, (TypedHole, EffectHole)):
+    if type(e) in _HOLES:
         return e
-    kids = children(e)
+    kids = _CHILDREN.get(type(e))
+    if kids is None:
+        return None
+    kids = kids(e)
     for i, c in enumerate(kids):
-        frames.append((e, i, kids))
-        hole = _descend(c, frames)
-        if hole is not None:
-            return hole
-        frames.pop()
+        if type(c) in _HOLES or type(c) in _CHILDREN:  # not a leaf
+            frames.append((e, i, kids))
+            hole = _descend(c, frames)
+            if hole is not None:
+                return hole
+            frames.pop()
     return None
 
 
@@ -518,31 +528,20 @@ def free_vars(e: Union[Expr, Cond]) -> set[str]:
         return {e.name}
     if isinstance(e, Let):
         return free_vars(e.bound) | (free_vars(e.body) - {e.var})
-    out: set[str] = set()
-    for c in children(e):
-        out |= free_vars(c)
-    return out
+    return set().union(*map(free_vars, children(e)))
 
 
 def rebuild(e: Union[Expr, Cond], kids: list) -> Union[Expr, Cond]:
-    """Reconstruct a node with replaced children (same order as children())."""
-    if isinstance(e, Seq):
-        return Seq(kids[0], kids[1])
-    if isinstance(e, Call):
+    """Reconstruct a node with replaced children (same order as children());
+    the other nodes take their children as their fields, in order."""
+    t = type(e)
+    if t is Call:
         return Call(kids[0], e.method, tuple(kids[1:]))
-    if isinstance(e, If):
-        return If(kids[0], kids[1], kids[2])
-    if isinstance(e, Let):
+    if t is Let:
         return Let(e.var, kids[0], kids[1])
-    if isinstance(e, RecordLit):
+    if t is RecordLit:
         return RecordLit(tuple((k, v) for (k, _), v in zip(e.pairs, kids)))
-    if isinstance(e, Atom):
-        return Atom(kids[0])
-    if isinstance(e, Not):
-        return Not(kids[0])
-    if isinstance(e, Or):
-        return Or(kids[0], kids[1])
-    return e
+    return t(*kids) if t in _CHILDREN else e
 
 
 def alpha_key(e: Union[Expr, Cond]) -> tuple:
@@ -550,7 +549,7 @@ def alpha_key(e: Union[Expr, Cond]) -> tuple:
     return _alpha(e, {}, [0])
 
 
-_LITERALS = (IntLit, StrLit, SymLit, ClassLit)
+_LEAVES = (IntLit, StrLit, SymLit, ClassLit, TypedHole, EffectHole)
 
 
 def _alpha(e, env: dict[str, str], counter: list) -> tuple:
@@ -569,12 +568,8 @@ def _alpha(e, env: dict[str, str], counter: list) -> tuple:
         return ("let", fresh, bk, _alpha(e.body, inner, counter))
     if t is RecordLit:
         return ("record", tuple([(k, _alpha(v, env, counter)) for k, v in e.pairs]))
-    if t is TypedHole:
-        return ("hole", type_key(e.ty))
-    if t is EffectHole:
-        return ("effhole", e.eff.atoms)
-    if t in _LITERALS:
-        return (t.__name__, getattr(e, "value", None) or getattr(e, "name", None))
+    if t in _LEAVES:
+        return (t.__name__, e._key(e))  # its one field
     kids = children(e)
     if not kids:
         return (t.__name__,)
@@ -620,9 +615,9 @@ class ClassTable:
         self._methods: dict[tuple[bool, str, str], MethodSig] = {}
         self._sig_cache: Optional[tuple[MethodSig, ...]] = None
         self._impure_cache: Optional[frozenset[str]] = None
-        # (t1, t2) pairs known to be subtypes. Declaring a class leaves the
-        # relation between known types as it was, so nothing clears this.
-        self._subtype_hits: set[tuple["TypeExpr", "TypeExpr"]] = set()
+        # (t1, t2) -> whether t1 is a subtype of t2. Declaring a class leaves
+        # the relation between known types as it was, so nothing clears this.
+        self._subtypes: dict[tuple["TypeExpr", "TypeExpr"], bool] = {}
 
     # -- classes ------------------------------------------------------------
 
@@ -733,9 +728,13 @@ class CallMemo:
       with the dedup keys of its products;
     - wraps: (id(candidate), read effect) -> (candidate, wrapped, its key);
     - normal: id(binding) -> (binding, (its normal form for dedup keys,
-      whether that cannot write, whether it is plain)), per let binding;
+      whether that cannot write, whether it is plain)), per let binding,
+      and a plain binding's alpha key once a key needed it;
     - roots: return type -> the root typed hole of every search;
-    - fills: (hole, scope items) -> the hole's fill entries in that scope;
+    - hole_fills: hole -> the entries of the fills no scope decides, those
+      before the scope's and those after;
+    - fills: (hole, scope items) -> all its fill entries in that scope;
+    - types: id(subterm) -> (subterm, strict, scope, its type there);
     - calls: (method, strict, child types) -> the call rule's type, or the
       (receiver member or None, reason) of its TypeCheckError;
     - methods: (singleton receiver, class, method) -> its signature;
@@ -745,19 +744,12 @@ class CallMemo:
       assertion accumulator.
     """
 
-    __slots__ = ("expansions", "wraps", "normal", "roots", "fills", "calls", "methods",
-                 "effects", "unions")
+    __slots__ = ("expansions", "wraps", "normal", "roots", "hole_fills", "fills", "types",
+                 "calls", "methods", "effects", "unions")
 
     def __init__(self) -> None:
-        self.expansions: dict = {}
-        self.wraps: dict = {}
-        self.normal: dict = {}
-        self.roots: dict = {}
-        self.fills: dict = {}
-        self.calls: dict = {}
-        self.methods: dict = {}
-        self.effects: dict = {}
-        self.unions: dict = {}
+        for name in self.__slots__:
+            setattr(self, name, {})
 
 
 def subtype(t1: TypeExpr, t2: TypeExpr, ct: ClassTable) -> bool:
@@ -765,14 +757,12 @@ def subtype(t1: TypeExpr, t2: TypeExpr, ct: ClassTable) -> bool:
     singleton classes related only to themselves (and Obj), records by width
     over keys with covariant field types and required-key presence."""
     pair = (t1, t2)
-    if pair in ct._subtype_hits:
-        return True
-    _validate_type(t1, ct)
-    _validate_type(t2, ct)
-    if _subtype(t1, t2, ct):
-        ct._subtype_hits.add(pair)
-        return True
-    return False
+    known = ct._subtypes.get(pair)
+    if known is None:
+        _validate_type(t1, ct)
+        _validate_type(t2, ct)
+        known = ct._subtypes[pair] = _subtype(t1, t2, ct)
+    return known
 
 
 def _validate_type(t: TypeExpr, ct: ClassTable) -> None:

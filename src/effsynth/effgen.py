@@ -65,12 +65,12 @@ def expand_effect_hole(ct: ClassTable, path: Optional[HolePath], env: TypeEnv,
         return Expansion(None, (), array("h"), array("h"))
     eff = path.hole.eff
 
-    def fills(scope: TypeEnv) -> list[Expr]:
+    def hole_fills() -> tuple[list, list]:
         out: list[Expr] = [NilLit()]
         if eff.is_pure():
             # A pure hole is satisfied by nil alone; every write subsumes it,
             # so matching would flood the search with useless insertions.
-            return out
+            return out, []
         writes = [(sig, resolve_self(sig.eff.write, sig.owner_class(), ct))
                   for sig in ct.all_sigs()]
         ranked = sorted(writes, key=lambda sw: (
@@ -87,9 +87,9 @@ def expand_effect_hole(ct: ClassTable, path: Optional[HolePath], env: TypeEnv,
                 out.append(call)
             else:
                 out.append(Seq(EffectHole(resolved_r), call))
-        return out
+        return out, []
 
-    return fill_leftmost(env, ct, path, fills, cfg.types_on, memo)
+    return fill_leftmost(env, ct, path, hole_fills, lambda scope: [], cfg.types_on, memo)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .core import (
     Atom, Call, ClassLit, ClassOf, ClassStar, ClassT, ClassTable, Cond,
     ConstantPool, DefinitionError, Effect, EffectHole, EffectPair, Expr,
     FalseLit, If, IntLit, Let, MethodSig, NilLit, Not, Or, PURE, RecordLit,
-    Region, STAR, SELF_STAR, SelfRegion, SelfStar, Seq, StrLit, SymLit,
+    Region, STAR, SELF_STAR, SelfRegion, SelfStar, Seq, Star, StrLit, SymLit,
     TrueLit, TypedHole, TypeExpr, UnionT, Value, Var, record_of, subtype,
     union_of,
 )
@@ -510,58 +510,47 @@ def print_type(t: TypeExpr) -> str:
 def print_effect(e: Effect) -> str:
     if e.is_pure():
         return "pure"
-    names = []
-    for a in sorted(e.atoms, key=lambda a: (type(a).__name__, str(a))):
-        if isinstance(a, ClassStar):
-            names.append(a.cls)
-        elif isinstance(a, Region):
-            names.append(f"{a.cls}.{a.region}")
-        elif isinstance(a, SelfRegion):
-            names.append(f"self.{a.region}")
-        elif isinstance(a, SelfStar):
-            names.append("self")
-        else:
-            names.append("*")
+    names = [_ATOM_NAMES[type(a)](a)
+             for a in sorted(e.atoms, key=lambda a: (type(a).__name__, str(a)))]
     if len(names) == 1:
         return names[0]
     return "(u " + " ".join(names) + ")"
 
 
+_ATOM_NAMES = {
+    ClassStar: lambda a: a.cls,
+    Region: lambda a: f"{a.cls}.{a.region}",
+    SelfRegion: lambda a: f"self.{a.region}",
+    SelfStar: lambda a: "self",
+    Star: lambda a: "*",
+}
+
+
 def print_expr(e: Expr) -> str:
-    if isinstance(e, NilLit):
-        return "nil"
-    if isinstance(e, TrueLit):
-        return "true"
-    if isinstance(e, FalseLit):
-        return "false"
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, StrLit):
-        return write_sexp(SStr(e.value))
-    if isinstance(e, SymLit):
-        return f"(sym {e.name})"
-    if isinstance(e, ClassLit):
-        return e.name
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Seq):
-        return f"(seq {print_expr(e.first)} {print_expr(e.second)})"
-    if isinstance(e, Call):
-        parts = ["call", print_expr(e.recv), e.method]
-        parts += [print_expr(a) for a in e.args]
-        return "(" + " ".join(parts) + ")"
-    if isinstance(e, If):
-        return f"(if {print_cond(e.cond)} {print_expr(e.then)} {print_expr(e.orelse)})"
-    if isinstance(e, Let):
-        return f"(let {e.var} {print_expr(e.bound)} {print_expr(e.body)})"
-    if isinstance(e, RecordLit):
-        pairs = " ".join(f"({k} {print_expr(v)})" for k, v in e.pairs)
-        return f"(record {pairs})" if pairs else "(record)"
-    if isinstance(e, TypedHole):
-        return f"(hole {print_type(e.ty)})"
-    if isinstance(e, EffectHole):
-        return f"(effhole {print_effect(e.eff)})"
-    raise ValueError(f"cannot print {e!r}")
+    rule = _PRINT.get(type(e))
+    if rule is None:
+        raise ValueError(f"cannot print {e!r}")
+    return rule(e)
+
+
+_PRINT = {
+    NilLit: lambda e: "nil",
+    TrueLit: lambda e: "true",
+    FalseLit: lambda e: "false",
+    IntLit: lambda e: str(e.value),
+    StrLit: lambda e: write_sexp(SStr(e.value)),
+    SymLit: lambda e: f"(sym {e.name})",
+    ClassLit: lambda e: e.name,
+    Var: lambda e: e.name,
+    Seq: lambda e: f"(seq {print_expr(e.first)} {print_expr(e.second)})",
+    Call: lambda e: " ".join(["(call", print_expr(e.recv), e.method,
+                              *map(print_expr, e.args)]) + ")",
+    If: lambda e: f"(if {print_cond(e.cond)} {print_expr(e.then)} {print_expr(e.orelse)})",
+    Let: lambda e: f"(let {e.var} {print_expr(e.bound)} {print_expr(e.body)})",
+    RecordLit: lambda e: "(record" + "".join(f" ({k} {print_expr(v)})" for k, v in e.pairs) + ")",
+    TypedHole: lambda e: f"(hole {print_type(e.ty)})",
+    EffectHole: lambda e: f"(effhole {print_effect(e.eff)})",
+}
 
 
 def print_cond(c: Cond) -> str:

@@ -27,7 +27,7 @@ from .core import (
 )
 from .runtime import (
     Checkpoint, ClassV, FALSE_V, NIL_V, NilV, IntV, RecordV, RuntimeError_,
-    RuntimeValue, StrV, SymV, TRUE_V, World, invoke_native, runtime_class_of,
+    RuntimeValue, StrV, SymV, TRUE_V, World, invoke_native, record_v, runtime_class_of,
     truthy,
 )
 
@@ -141,17 +141,11 @@ class Evaluator:
         return self.eval(env, e.then if self.eval_cond(env, e.cond) else e.orelse)
 
     def _record(self, env, e: RecordLit) -> RuntimeValue:
-        items = {}
-        for k, v in e.pairs:
-            items[k] = self.eval(env, v)
-        return RecordV(tuple(sorted(items.items())))
+        return record_v({k: self.eval(env, v) for k, v in e.pairs})
 
     def _call(self, env, e: Call) -> RuntimeValue:
         recv = self.eval(env, e.recv)
-        args = []
-        for a in e.args:
-            args.append(self.eval(env, a))
-        return self.call(recv, e.method, tuple(args))
+        return self.call(recv, e.method, tuple([self.eval(env, a) for a in e.args]))
 
     def eval_cond(self, env: dict[str, RuntimeValue], c: Cond) -> bool:
         if isinstance(c, Atom):

@@ -34,7 +34,7 @@ from .interp import Evaluator, Spec, SpecResult, SpecStart, param_env, run_spec,
 from .runtime import RuntimeError_, World, record_v, truthy
 from .sat import implies_valid
 from .search import SearchConfig, SearchStats
-from .typegen import TypeCheckError, node_type
+from .typegen import TypeCheckError, node_type, record_shapes
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +408,12 @@ class ConditionBank:
                     yield from self._typed(
                         Call(kids[0].expr, sig.name, tuple(k.expr for k in kids[1:])), kids)
             made = set()  # two record types can share a literal
-            for rec in self.records:
-                required = [(k, ty) for k, opt, ty in rec.fields if not opt]
-                optional = [(k, ty) for k, opt, ty in rec.fields if opt]
-                for n in range(len(optional) + 1):
-                    for combo in itertools.combinations(optional, n):
-                        pairs = sorted(required + list(combo), key=lambda kv: kv[0])
-                        for kids in self._operands([ty for _, ty in pairs], size - len(pairs)):
-                            lit = RecordLit(tuple(
-                                (k, kid.expr) for (k, _), kid in zip(pairs, kids)))
-                            if lit not in made:
-                                made.add(lit)
-                                yield from self._typed(lit, kids)
+            for pairs in (p for rec in self.records for p in record_shapes(rec)):
+                for kids in self._operands([ty for _, ty in pairs], size - len(pairs)):
+                    lit = RecordLit(tuple((k, kid.expr) for (k, _), kid in zip(pairs, kids)))
+                    if lit not in made:
+                        made.add(lit)
+                        yield from self._typed(lit, kids)
             size += 1
 
     def _typed(self, expr: Expr, operands: tuple = (), kid_tys=None):

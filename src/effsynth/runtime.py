@@ -117,23 +117,22 @@ def truthy(v: RuntimeValue) -> bool:
 
 
 def runtime_class_of(v: RuntimeValue) -> str:
-    if isinstance(v, ObjV):
-        return v.cls
-    if isinstance(v, ClassV):
-        return v.name
-    if isinstance(v, BoolV):
-        return "Bool"
-    if isinstance(v, IntV):
-        return "Int"
-    if isinstance(v, StrV):
-        return "Str"
-    if isinstance(v, SymV):
-        return "Sym"
-    if isinstance(v, RelationV):
-        return relation_class(v.cls)
-    if isinstance(v, NilV):
-        return "Nil"
-    raise RuntimeError_("no-class", f"value {v!r} has no runtime class")
+    rule = _CLASS_OF.get(type(v))
+    if rule is None:
+        raise RuntimeError_("no-class", f"value {v!r} has no runtime class")
+    return rule(v)
+
+
+_CLASS_OF = {
+    ObjV: lambda v: v.cls,
+    ClassV: lambda v: v.name,
+    BoolV: lambda v: "Bool",
+    IntV: lambda v: "Int",
+    StrV: lambda v: "Str",
+    SymV: lambda v: "Sym",
+    RelationV: lambda v: relation_class(v.cls),
+    NilV: lambda v: "Nil",
+}
 
 
 # ---------------------------------------------------------------------------

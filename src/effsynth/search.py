@@ -1,26 +1,21 @@
 """The per-spec worklist synthesis loop, `generate`.
 
 Candidates are explored best-first: most passed assertions, then smallest
-size, then insertion order. Popping a candidate descends once to its
-leftmost hole and expands it there. A worklist entry is a plain
-(-passed, size, seq, candidate, holes) tuple, and each product carries how
-much its size and hole count differ from its candidate's, so no product is
-walked again to size it or to tell whether it is complete. Complete
-expansions are evaluated immediately, failures with an assertion error are
-re-enqueued wrapped in an effect hole carrying the failure's read effect,
-and everything else goes back on the worklist until the size bound, the
-budget (evaluations and pops), or the deadline cuts the search off. The
-search counts into its caller's SearchStats, so one set of counts can span
-a session.
+size, then insertion order. A worklist entry is a plain (-passed, size,
+seq, candidate, holes) tuple. Popping a candidate descends once to its
+leftmost hole and expands it there; each product carries how much its size
+and hole count differ from its candidate's, so no product is walked again
+to size it. Complete products are evaluated at once, and one that fails an
+assertion is re-enqueued wrapped in an effect hole carrying the failure's
+read effect, until the size bound, the budget (evaluations and pops) or
+the deadline cuts the search off. Counts go to the caller's SearchStats.
 
-What a search learns that no spec decides goes into the synthesis call's
-memo (core.CallMemo), which every search of the call shares: the root
-hole, each popped candidate's products with their dedup keys, and each
-wrap. Every search starts from the same root object, so a later search
-that pops a candidate an earlier one popped finds its products, then
-theirs, by identity; only the spec's own evaluations and worklist order
-are its own. The memo holds only facts fixed for the call, so search
-order, counts and results are those of a search without it."""
+The searches of one synthesis call share its memo (core.CallMemo): the
+root hole, each popped candidate's products with their dedup keys, and
+each wrap. Every search starts from the same root object, so a later
+search finds the products of what an earlier one popped by identity. The
+memo holds only facts fixed for the call, so search order, counts and
+results are those of a search without it."""
 
 from __future__ import annotations
 
@@ -32,7 +27,7 @@ from typing import Optional
 
 from .core import (
     Call, CallMemo, ClassTable, ConstantPool, Expr, Let, NilLit, Seq, TypedHole,
-    TypeExpr, Value, Var, alpha_key, children, free_vars, leftmost_hole, rebuild,
+    TypeExpr, Value, Var, _alpha, alpha_key, children, free_vars, leftmost_hole, rebuild,
 )
 from .effgen import expand_effect_hole, wrap_effect_hole
 from .interp import AssertErr, Spec, SpecStart, param_env, run_spec
@@ -121,36 +116,48 @@ def normalize_for_key(e: Expr, ct: ClassTable, memo: Optional[dict] = None) -> E
 def _normal(e: Expr, impure: frozenset, memo: dict) -> tuple[Expr, bool, bool]:
     """e's normal form, whether that cannot write (it calls no method of
     impure), and whether it is plain (see _plain)."""
-    kids = children(e)
-    if not kids:
-        return e, True, True
-    if isinstance(e, Let):
+    t = type(e)
+    if t is Call:
+        recv = _normal(e.recv, impure, memo)
+        args = [_normal(a, impure, memo) for a in e.args]
+        out = e
+        if recv[0] is not e.recv or any(n[0] is not a for n, a in zip(args, e.args)):
+            out = Call(recv[0], e.method, tuple([n[0] for n in args]))
+        return (out, recv[1] and all(n[1] for n in args) and e.method not in impure,
+                recv[2] and all(n[2] for n in args))
+    if t is Let:
         bound = memo.get(id(e.bound))
         if bound is None or bound[0] is not e.bound:
             bound = memo[id(e.bound)] = (e.bound, _normal(e.bound, impure, memo))
-        new = [bound[1], _normal(e.body, impure, memo)]
-    else:
-        new = [_normal(k, impure, memo) for k in kids]
+        bound, body = bound[1], _normal(e.body, impure, memo)
+        if type(body[0]) is Var and body[0].name == e.var:
+            return bound
+        if bound[1] and e.var not in free_vars(body[0]):
+            return body
+        out = e if bound[0] is e.bound and body[0] is e.body else Let(e.var, bound[0], body[0])
+        return out, bound[1] and body[1], False
+    if t is Seq:
+        first, second = _normal(e.first, impure, memo), _normal(e.second, impure, memo)
+        if type(first[0]) is NilLit:
+            return second
+        out = e if first[0] is e.first and second[0] is e.second else Seq(first[0], second[0])
+        return out, first[1] and second[1], False
+    kids = children(e)
+    if not kids:
+        return e, True, True
+    new = [_normal(k, impure, memo) for k in kids]
     out = e
     if any(n[0] is not k for n, k in zip(new, kids)):
         out = rebuild(e, [n[0] for n in new])
-    if isinstance(out, Seq) and isinstance(out.first, NilLit):
-        return new[1]
-    if isinstance(out, Let):
-        if isinstance(out.body, Var) and out.body.name == out.var:
-            return new[0]
-        if new[0][1] and out.var not in free_vars(out.body):
-            return new[1]
-    return (out,
-            all(n[1] for n in new) and not (isinstance(out, Call) and out.method in impure),
-            all(n[2] for n in new) and not isinstance(out, (Let, Seq)))
+    return out, all(n[1] for n in new), all(n[2] for n in new)
 
 
 def _plain(e: Expr) -> bool:
     """No let and no sequence anywhere in e."""
-    if isinstance(e, Call):
+    t = type(e)
+    if t is Call:
         return _plain(e.recv) and all(map(_plain, e.args))
-    if isinstance(e, (Let, Seq)):
+    if t is Let or t is Seq:
         return False
     return all(map(_plain, children(e)))
 
@@ -159,24 +166,36 @@ def dedup_key(e: Expr, ct: ClassTable, memo: Optional[dict] = None) -> object:
     """Candidates with equal keys are duplicates: equal up to the erasures of
     normalize_for_key and the names of let-bound variables. A term with no
     let or sequence is its own key, since equality of such terms is
-    structural; only the others are normalized (through memo, see
-    normalize_for_key), and alpha-keyed if a let or sequence survives."""
+    structural; the others are normalized (through memo, see
+    normalize_for_key) and alpha-keyed if a let or sequence survives, an
+    outer let's plain binding once per memo (it numbers no let)."""
     if _plain(e):
         return e
-    e, _, plain = _normal(e, ct.impure_method_names(), {} if memo is None else memo)
-    return e if plain else alpha_key(e)
+    memo = {} if memo is None else memo
+    e, _, plain = _normal(e, ct.impure_method_names(), memo)
+    if plain:
+        return e
+    got = memo.get(id(e.bound)) if type(e) is Let else None
+    if got is None or got[0] is not e.bound or not got[1][2]:
+        return alpha_key(e)
+    if len(got) == 2:
+        got = memo[id(e.bound)] = (*got, _alpha(e.bound, {}, [1]))
+    return ("let", "%0", got[2], _alpha(e.body, {e.var: "%0"}, [1]))
 
 
 def _product_keys(products: Expansion, cand_size: int, cand_holes: int, max_size: int,
                   ct: ClassTable, memo: dict):
     """The dedup key of each product the search keeps: every complete one,
     and every other within max_size (the others get themselves, unread).
-    When every key is its product, as for terms without let or sequence,
-    the products themselves are the keys."""
-    keys = [p if holes and cand_size + dsize > max_size else dedup_key(p, ct, memo)
-            for p, dsize, holes in zip(products.exprs, products.dsizes,
-                                       (cand_holes + d for d in products.dholes))]
+    When every key is its product the products are the keys, as for a
+    plain candidate: typed-hole fills are plain, and an effect hole sits
+    only under a wrap's let."""
     exprs = products.exprs
+    if _plain(products.cand):
+        return exprs
+    keys = [p if holes and cand_size + dsize > max_size else dedup_key(p, ct, memo)
+            for p, dsize, holes in zip(exprs, products.dsizes,
+                                       (cand_holes + d for d in products.dholes))]
     return exprs if all(map(operator.is_, keys, exprs)) else keys
 
 

@@ -3,39 +3,34 @@
 Checking implements the standard rules for the core language: literals at
 their leaf classes, calls via class-table lookup with argument subtyping,
 if-expressions at the union of their branches, typed holes at their
-annotation, and effect holes at Obj. One function holds the rule for each
-node; whole-term checking applies it bottom-up.
+annotation, and effect holes at Obj. _RULES holds each node class's rule;
+whole-term checking applies them bottom-up.
 
-Expansion fills the leftmost hole with constants, variables, record-field
-reads, method-call templates, or record-literal skeletons. It works on the
-path down to that hole (core.leftmost_hole), the one descent per expansion:
-each product is rebuilt along the path only and carries how much its size
-and hole count differ from the candidate's. With types on, a product is kept
-exactly when its whole-term check would succeed, so narrowing contradictions
-(such as calling a method on a Nil-typed receiver) are pruned at once; the
-check types the children off the path once per expansion, each fill in the
-hole's scope, and then re-derives only the ancestors on the path.
+Expansion fills the leftmost hole (core.leftmost_hole) with constants,
+variables, record-field reads, method-call templates, or record-literal
+skeletons, rebuilding each product along the path only. With types on, a
+product is kept exactly when its whole-term check would succeed, decided
+along the path: the children off it are typed, each fill in the hole's
+scope, and then only the ancestors are re-derived.
 
-An expansion depends on the candidate alone once the class table, constant
-pool, parameter types and mode are fixed, as they are for one synthesis
-call. So the call's memo (core.CallMemo) keeps each candidate's products
-(an Expansion: flat terms, an array of size deltas and one of hole-count
-deltas, shared when every fill fits), each (hole, scope)'s fills, and the
-call rule's outcome per (method, strict, child types), an error included.
+One synthesis call fixes the class table, constant pool, parameter types
+and mode, so its memo (core.CallMemo) keeps each candidate's products (an
+Expansion: flat terms and delta arrays), the fills of each hole and of each
+(hole, scope), the types off the path, and the call rule's outcome.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .core import (
     Atom, BOOL_T, Call, CallMemo, ClassLit, ClassOf, ClassT, ClassTable,
     ConstantPool, DefinitionError, EffectHole, Expr, FalseLit, HolePath, If,
     IntLit, INT_T, Let, NIL_T, NilLit, Not, OBJ_T, Or, RecordLit, RecordT,
     Seq, StrLit, STR_T, SymLit, SYM_T, TrueLit, TypedHole, TypeExpr, UnionT,
-    Var, children, expr_size, record_of, subtype, union_of, walk,
+    Var, _CHILDREN, children, expr_size, record_of, subtype, union_of, walk,
 )
 
 if TYPE_CHECKING:
@@ -76,7 +71,7 @@ def typecheck(env: TypeEnv, ct: ClassTable, e: Expr, *, strict: bool = True,
     """Type of e, or TypeCheckError. With strict=False the checker never
     raises: unknown names fall back to Obj and side conditions are skipped
     (used by the type-ablation modes, which still need types for let-bound
-    variables). calls memoizes the call rule (see node_type); without one
+    variables). calls memoizes the call rule (see _call_type); without one
     the check keeps its own."""
     try:
         return _check(env, ct, e, strict, {} if calls is None else calls)
@@ -89,76 +84,88 @@ def typecheck(env: TypeEnv, ct: ClassTable, e: Expr, *, strict: bool = True,
 def _check(env: TypeEnv, ct: ClassTable, e, strict: bool, calls: dict) -> TypeExpr:
     if isinstance(e, Let):
         bound = _check(env, ct, e.bound, strict, calls)
-        body = _check(_bind(env, e.var, bound), ct, e.body, strict, calls)
+        body = _check({**env, e.var: bound}, ct, e.body, strict, calls)
         return node_type(env, ct, e, (bound, body), strict, calls)
     return node_type(env, ct, e, [_check(env, ct, c, strict, calls) for c in children(e)],
                      strict, calls)
 
 
-def _bind(env: TypeEnv, var: str, ty: TypeExpr) -> TypeEnv:
-    inner = dict(env)
-    inner[var] = ty
-    return inner
-
-
 def node_type(env: TypeEnv, ct: ClassTable, e, kid_tys, strict: bool, calls: dict) -> TypeExpr:
-    """The typing rule of one node: the type of e under env, given the types
-    of its children in children() order (a let body's under env with the
-    variable bound). Whole-term checking, the path check after a hole fill
-    and the merge condition bank's compositions all type nodes through
-    here. The call rule depends only on the method, the child types, strict
-    and the class table, so calls keeps its outcome per (method, strict,
-    child types); a kept error is raised again at this node, or at the
-    receiver member that had no such method."""
-    if isinstance(e, Call):
-        key = (e.method, strict, tuple(kid_tys))
-        got = calls.get(key)
-        if got is None:
-            try:
-                got = _call_rule(e, kid_tys, strict, ct)
-            except TypeCheckError as exc:
-                got = (None if exc.node is e else exc.node, exc.reason)
-            calls[key] = got
-        if isinstance(got, tuple):
-            raise TypeCheckError(e if got[0] is None else got[0], got[1])
-        return got
-    if isinstance(e, Var):
-        if e.name not in env:
-            if strict:
-                raise TypeCheckError(e, f"unbound variable {e.name}")
-            return OBJ_T
-        return env[e.name]
-    if isinstance(e, TypedHole):
-        return e.ty
-    if isinstance(e, (Seq, Let)):
-        return kid_tys[1]
-    if isinstance(e, EffectHole):
-        return OBJ_T
-    if isinstance(e, NilLit):
-        return NIL_T
-    if isinstance(e, (TrueLit, FalseLit)):
-        return BOOL_T
-    if isinstance(e, IntLit):
-        return INT_T
-    if isinstance(e, StrLit):
-        return STR_T
-    if isinstance(e, SymLit):
-        return SYM_T
-    if isinstance(e, ClassLit):
-        if strict:
-            ct.require_class(e.name)
-        return ClassOf(e.name)
-    if isinstance(e, RecordLit):
-        return record_of((k, False, t) for (k, _), t in zip(e.pairs, kid_tys))
-    if isinstance(e, If):
-        return union_of(kid_tys[1], kid_tys[2])
-    if isinstance(e, Atom):
-        if strict and not subtype(kid_tys[0], BOOL_T, ct):
-            raise TypeCheckError(e, f"condition has type {kid_tys[0]}, not Bool")
-        return BOOL_T
-    if isinstance(e, (Not, Or)):
-        return BOOL_T
-    raise TypeCheckError(e, f"cannot type {type(e).__name__}")
+    """The typing rule of one node, _RULES's for its class: the type of e
+    under env, given the types of its children in children() order (a let
+    body's under env with the variable bound). Whole-term checking, the path
+    check and the merge condition bank all type nodes through here."""
+    rule = _RULES.get(type(e))
+    if rule is None:
+        raise TypeCheckError(e, f"cannot type {type(e).__name__}")
+    return rule(env, ct, e, kid_tys, strict, calls)
+
+
+def _call_type(env, ct, e, kid_tys, strict, calls):
+    """The call rule, kept per (method, strict, child types) in calls, as it
+    depends on nothing else for one class table; a kept error is raised
+    again at this node, or at the receiver member that lacks the method."""
+    key = (e.method, strict, tuple(kid_tys))
+    got = calls.get(key)
+    if got is None:
+        try:
+            got = _call_rule(e, kid_tys, strict, ct)
+        except TypeCheckError as exc:
+            got = (None if exc.node is e else exc.node, exc.reason)
+        calls[key] = got
+    if type(got) is tuple:
+        raise TypeCheckError(e if got[0] is None else got[0], got[1])
+    return got
+
+
+def _var_type(env, ct, e, kid_tys, strict, calls):
+    ty = env.get(e.name)
+    if ty is None and strict:
+        raise TypeCheckError(e, f"unbound variable {e.name}")
+    return OBJ_T if ty is None else ty
+
+
+def _class_type(env, ct, e, kid_tys, strict, calls):
+    if strict:
+        ct.require_class(e.name)
+    return ClassOf(e.name)
+
+
+def _atom_type(env, ct, e, kid_tys, strict, calls):
+    if strict and not subtype(kid_tys[0], BOOL_T, ct):
+        raise TypeCheckError(e, f"condition has type {kid_tys[0]}, not Bool")
+    return BOOL_T
+
+
+def _const(ty: TypeExpr):
+    return lambda *_: ty
+
+
+def _second(env, ct, e, kid_tys, *_):
+    return kid_tys[1]
+
+
+_RULES = {
+    Call: _call_type,
+    Var: _var_type,
+    TypedHole: lambda env, ct, e, *_: e.ty,
+    Seq: _second,
+    Let: _second,
+    EffectHole: _const(OBJ_T),
+    NilLit: _const(NIL_T),
+    TrueLit: _const(BOOL_T),
+    FalseLit: _const(BOOL_T),
+    IntLit: _const(INT_T),
+    StrLit: _const(STR_T),
+    SymLit: _const(SYM_T),
+    ClassLit: _class_type,
+    RecordLit: lambda env, ct, e, kid_tys, *_: record_of(
+        (k, False, t) for (k, _), t in zip(e.pairs, kid_tys)),
+    If: lambda env, ct, e, kid_tys, *_: union_of(kid_tys[1], kid_tys[2]),
+    Atom: _atom_type,
+    Not: _const(BOOL_T),
+    Or: _const(BOOL_T),
+}
 
 
 def _call_rule(e: Call, kid_tys, strict: bool, ct: ClassTable) -> TypeExpr:
@@ -192,20 +199,11 @@ def _call_rule(e: Call, kid_tys, strict: bool, ct: ClassTable) -> TypeExpr:
 # Filling the leftmost hole
 # ---------------------------------------------------------------------------
 
-class Product(NamedTuple):
-    """One expansion of a candidate: the new term, and how much its size and
-    its number of holes differ from the candidate's."""
-
-    expr: Expr
-    dsize: int
-    dholes: int
-
-
 class Expansion:
     """The products of a candidate's leftmost hole, stored flat: the terms
     and their size and hole-count deltas, and once the search has keyed
     them, their dedup keys (the terms themselves when every key is its
-    term). Iterating gives Products."""
+    term)."""
 
     __slots__ = ("cand", "exprs", "dsizes", "dholes", "keys")
 
@@ -219,79 +217,93 @@ class Expansion:
     def __len__(self) -> int:
         return len(self.exprs)
 
-    def __iter__(self):
-        return map(Product, self.exprs, self.dsizes, self.dholes)
-
 
 def fill_leftmost(env: TypeEnv, ct: ClassTable, path: HolePath,
-                  fills: Callable[[TypeEnv], list[Expr]], check: bool,
+                  hole_fills: Callable[[], tuple[list, list]],
+                  scope_fills: Callable[[TypeEnv], list], check: bool,
                   memo: CallMemo) -> Expansion:
-    """The products of replacing path's hole by each of fills(scope), where
-    scope is the environment at the hole, in fill order. With check, only
-    the products whose whole-term typecheck would succeed are kept, decided
-    along the path alone: the children off the path are typed once, each
-    fill in the scope, then each ancestor is re-derived from its new child
-    type, once per distinct fill type.
+    """The products of replacing path's hole by each fill: hole_fills()'s
+    first list, scope_fills(scope) for the scope at the hole, then its
+    second list. With check, of a candidate that types, only the products
+    whose whole-term typecheck would succeed are kept, decided along the
+    path: the children off it are typed, each fill in the scope, then the
+    ancestors once per fill type other than the hole's.
 
-    memo belongs to one synthesis call (one class table, constant pool,
-    parameter typing and mode), for which the products depend on the
-    candidate alone: they are kept per candidate, by identity, and each
-    (hole, scope)'s fills with their types and size and hole-count
-    deltas."""
+    memo, one synthesis call's, keeps the products per candidate, the
+    entries of hole_fills() per hole (typed in no scope: they have no free
+    variable), all entries per (hole, scope), and the types off the path."""
     cand = path.frames[0][0] if path.frames else path.hole
     done = memo.expansions.get(id(cand))
     if done is not None and done.cand is cand:
         return done
     try:
-        scope, frames = _path_types(env, ct, path, check, memo.calls)
+        scope, frames = _path_types(env, ct, path, check, memo)
     except TypeCheckError:
         # A term off the path does not type, so no product would.
         done = Expansion(cand, (), array("h"), array("h"))
     else:
-        key = (path.hole, tuple(scope.items()))
+        hole = path.hole
+        key = (hole, tuple(scope.items()))
         entries = memo.fills.get(key)
         if entries is None:
-            entries = memo.fills[key] = _fill_entries(scope, ct, fills(scope), check,
-                                                      memo.calls)
+            parts = memo.hole_fills.get(hole)
+            if parts is None:
+                parts = memo.hole_fills[hole] = [_fill_entries({}, ct, fills, check, memo.calls)
+                                                 for fills in hole_fills()]
+            mid = _fill_entries(scope, ct, scope_fills(scope), check, memo.calls)
+            entries = memo.fills[key] = tuple(
+                a + b + c for a, b, c in zip(parts[0], mid, parts[1]))
         terms, dsizes, dholes, types = entries
-        kept = range(len(terms))
         if check:
-            fits: dict = {}
+            # the candidate types, so a fill of its hole's type changes no ancestor's type
+            fits = {node_type(scope, ct, hole, (), True, memo.calls): True}
             for ty in types:
                 if ty not in fits:
                     fits[ty] = _path_accepts(ct, frames, ty, memo.calls)
-            kept = [j for j, ty in enumerate(types) if fits[ty]]
-            if len(kept) < len(terms):
+            if not all(fits.values()):
+                kept = [j for j, ty in enumerate(types) if fits[ty]]
+                terms = [terms[j] for j in kept]
                 dsizes = array("h", [dsizes[j] for j in kept])
                 dholes = array("h", [dholes[j] for j in kept])
         # every candidate whose fills all fit shares the entries' deltas
-        done = Expansion(cand, tuple([path.plug(terms[j]) for j in kept]), dsizes, dholes)
+        done = Expansion(cand, tuple(map(path.plug, terms)), dsizes, dholes)
     memo.expansions[id(cand)] = done
     return done
 
 
-def _path_types(env: TypeEnv, ct: ClassTable, path: HolePath, strict: bool, calls: dict):
+def _path_types(env: TypeEnv, ct: ClassTable, path: HolePath, strict: bool, memo: CallMemo):
     """The scope at the hole and, per frame outermost first, (node, index,
-    scope, child types) with the slot at index empty. A let whose binding
-    holds the hole also leaves its body's slot empty: the body is typed per
-    fill. Without strict only the scope is needed, and a let-bound variable
-    gets its binding's lenient type."""
+    scope, child types) with the slot at index empty, as is a let body's
+    whose binding holds the hole. Without strict only the scope is made,
+    with lenient let binding types."""
     scope = env
     frames = []
     for node, i, kids in path.frames:
-        if isinstance(node, Let):
+        if type(node) is Let:
             if i == 0:
                 frames.append((node, i, scope, [None, None]))
                 continue
-            bound = (_check(scope, ct, node.bound, True, calls) if strict
-                     else typecheck(scope, ct, node.bound, strict=False, calls=calls))
+            bound = _kid_type(scope, ct, node.bound, strict, memo)
             frames.append((node, i, scope, [bound, None]))
-            scope = _bind(scope, node.var, bound)
+            scope = {**scope, node.var: bound}
         elif strict:
             frames.append((node, i, scope, [
-                None if j == i else _check(scope, ct, k, True, calls)
+                None if j == i else _kid_type(scope, ct, k, True, memo)
                 for j, k in enumerate(kids)]))
     return scope, frames
+
+
+def _kid_type(scope: TypeEnv, ct: ClassTable, k, strict: bool, memo: CallMemo) -> TypeExpr:
+    """k's type in scope, lenient without strict; a subterm's is kept by its
+    identity with the scope, as the call's candidates share subterms."""
+    if type(k) not in _CHILDREN:
+        return node_type(scope, ct, k, (), strict, memo.calls)
+    got = memo.types.get(id(k))
+    if got is None or got[0] is not k or got[1] is not strict or got[2] != scope:
+        ty = (_check(scope, ct, k, True, memo.calls) if strict
+              else typecheck(scope, ct, k, strict=False, calls=memo.calls))
+        got = memo.types[id(k)] = (k, strict, dict(scope), ty)
+    return got[3]
 
 
 def _path_accepts(ct: ClassTable, frames: list, ty: TypeExpr, calls: dict) -> bool:
@@ -300,7 +312,7 @@ def _path_accepts(ct: ClassTable, frames: list, ty: TypeExpr, calls: dict) -> bo
     try:
         for node, i, scope, kid_tys in reversed(frames):
             if isinstance(node, Let) and i == 0:
-                kid_tys = (ty, _check(_bind(scope, node.var, ty), ct, node.body, True, calls))
+                kid_tys = (ty, _check({**scope, node.var: ty}, ct, node.body, True, calls))
             else:
                 kid_tys = list(kid_tys)
                 kid_tys[i] = ty
@@ -335,6 +347,16 @@ def _fill_entries(scope: TypeEnv, ct: ClassTable, fills: list[Expr], check: bool
 # Typed-hole expansion
 # ---------------------------------------------------------------------------
 
+def record_shapes(rec: RecordT):
+    """rec's required keys with each subset of its optional ones, by subset
+    size, then in combination order: key-sorted (key, type) lists."""
+    required = [(k, ty) for k, opt, ty in rec.fields if not opt]
+    optional = [(k, ty) for k, opt, ty in rec.fields if opt]
+    for size in range(len(optional) + 1):
+        for combo in itertools.combinations(optional, size):
+            yield sorted(required + list(combo), key=lambda kv: kv[0])
+
+
 def expand_typed_hole(env: TypeEnv, ct: ClassTable, sigma: ConstantPool,
                       path: Optional[HolePath], cfg: SearchConfig,
                       memo: CallMemo) -> Expansion:
@@ -348,42 +370,26 @@ def expand_typed_hole(env: TypeEnv, ct: ClassTable, sigma: ConstantPool,
         return Expansion(None, (), array("h"), array("h"))
     target = path.hole.ty
 
-    def fills(scope: TypeEnv) -> list[Expr]:
-        known: dict = {}  # type -> whether it fits the hole
+    def fits(ty: TypeExpr) -> bool:
+        return not cfg.types_on or subtype(ty, target, ct)
 
-        def fits(ty: TypeExpr) -> bool:
-            if not cfg.types_on:
-                return True
-            ok = known.get(ty)
-            if ok is None:
-                ok = known[ty] = subtype(ty, target, ct)
-            return ok
+    def hole_fills() -> tuple[list, list]:
+        consts = [lit for lit, ty in sigma.entries if fits(ty)]
+        rest: list[Expr] = [
+            Call(TypedHole(sig.owner), sig.name, tuple(TypedHole(p) for p in sig.params))
+            for sig in ct.all_sigs() if fits(sig.ret)]
+        if isinstance(target, RecordT):
+            rest += [RecordLit(tuple((k, TypedHole(ty)) for k, ty in pairs))
+                     for pairs in record_shapes(target)]
+        return consts, rest
 
-        out: list[Expr] = []
-        for lit, ty in sigma.entries:
-            if fits(ty):
-                out.append(lit)
-        for name, ty in scope.items():
-            if fits(ty):
-                out.append(Var(name))
+    def scope_fills(scope: TypeEnv) -> list[Expr]:
+        out: list[Expr] = [Var(name) for name, ty in scope.items() if fits(ty)]
         for name, ty in scope.items():
             if isinstance(ty, RecordT):
                 for k, opt, fty in ty.fields:
                     if fits(union_of(fty, NIL_T) if opt else fty):
                         out.append(Call(Var(name), k, ()))
-        for sig in ct.all_sigs():
-            if fits(sig.ret):
-                out.append(Call(
-                    TypedHole(sig.owner), sig.name,
-                    tuple(TypedHole(p) for p in sig.params),
-                ))
-        if isinstance(target, RecordT):
-            required = [(k, ty) for k, opt, ty in target.fields if not opt]
-            optional = [(k, ty) for k, opt, ty in target.fields if opt]
-            for size in range(len(optional) + 1):
-                for combo in itertools.combinations(optional, size):
-                    pairs = tuple(sorted(required + list(combo), key=lambda kv: kv[0]))
-                    out.append(RecordLit(tuple((k, TypedHole(ty)) for k, ty in pairs)))
         return out
 
-    return fill_leftmost(env, ct, path, fills, cfg.types_on, memo)
+    return fill_leftmost(env, ct, path, hole_fills, scope_fills, cfg.types_on, memo)

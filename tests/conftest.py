@@ -79,12 +79,12 @@ NEAR_TWINS = """
 
 def expand_typed(env, ct, sigma, e, cfg=SearchConfig()):
     """The terms expand_typed_hole makes from e's leftmost hole."""
-    return [p.expr for p in expand_typed_hole(env, ct, sigma, leftmost_hole(e), cfg, CallMemo())]
+    return list(expand_typed_hole(env, ct, sigma, leftmost_hole(e), cfg, CallMemo()).exprs)
 
 
 def expand_effect(ct, e, env=None, cfg=SearchConfig()):
     """The terms expand_effect_hole makes from e's leftmost hole."""
-    return [p.expr for p in expand_effect_hole(ct, leftmost_hole(e), env or {}, cfg, CallMemo())]
+    return list(expand_effect_hole(ct, leftmost_hole(e), env or {}, cfg, CallMemo()).exprs)
 
 
 def run_generate(goal_params, ret, ct, sigma, spec, world, cfg, stats=None):

@@ -3,13 +3,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from effsynth import core
 from effsynth.core import (
-    BOOL_T, Call, ClassOf, ClassStar, ClassT, ClassTable, DefinitionError,
+    BOOL_T, Call, ClassLit, ClassOf, ClassStar, ClassT, ClassTable, DefinitionError,
     Effect, EffectHole, EffectPair, IntLit, Let, MethodSig, NIL_T, NilLit,
     OBJ_T, PURE, RecordLit, Region, SELF_STAR, STR_T, SelfRegion, Seq, Star,
-    StrLit, TypedHole, UnionT, Var, canon_effect, eff_subsumes, eff_union,
+    StrLit, SymLit, TypedHole, UnionT, Var, alpha_key, canon_effect, eff_subsumes, eff_union,
     expr_size, is_complete, leftmost_hole, record_of, resolve_self, subtype,
-    union_of, walk,
+    union_of, walk, If, Atom, Not, INT_T,
 )
 from conftest import random_hierarchy
 
@@ -70,6 +71,36 @@ class TestSubtype:
         with pytest.raises(DefinitionError):
             subtype(ClassT("Ghost"), OBJ_T, hierarchy)
 
+    def test_remembered_answers_equal_fresh_ones(self, monkeypatch):
+        # both answers are kept per pair: asked twice and in both orders,
+        # and again after a class is added, each equals a fresh _subtype,
+        # and a pair asked before is not worked out again
+        rng = random.Random(11)
+        worked = []
+
+        def counted(t1, t2, ct):
+            worked.append((t1, t2))
+            return fresh(t1, t2, ct)
+
+        fresh = core._subtype
+        monkeypatch.setattr(core, "_subtype", counted)
+        for _ in range(40):
+            ct = random_hierarchy(rng)
+            pool = _type_pool(rng, ct)
+            pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(30)]
+            for round_ in range(2):
+                for a, b in pairs:
+                    for t1, t2 in ((a, b), (b, a), (a, b)):
+                        want = fresh(t1, t2, ct)
+                        known = len(worked)
+                        assert subtype(t1, t2, ct) == want
+                        if round_:
+                            assert len(worked) == known
+                ct.add_class(f"New{round_}", rng.choice([c for c in ct.classes() if c != "Nil"]))
+                pool += [ClassT(f"New{round_}"), union_of(ClassT(f"New{round_}"), pool[0])]
+            refused = [pair for pair, ok in ct._subtypes.items() if not ok]
+            assert refused and len(refused) < len(ct._subtypes)
+
     def test_preorder_on_random_hierarchies(self):
         rng = random.Random(7)
         for _ in range(200):
@@ -82,6 +113,18 @@ class TestSubtype:
             a, b, c = ts
             if subtype(a, b, ct) and subtype(b, c, ct):
                 assert subtype(a, c, ct)
+
+
+def _type_pool(rng, ct):
+    """Class, singleton, union and record types over ct's classes."""
+    classes = [c for c in ct.classes() if c != "Nil"]
+    pool = [ClassT(c) for c in ct.classes()] + [ClassOf(c) for c in classes]
+    pool.append(union_of(*rng.sample([ClassT(c) for c in classes], 2)))
+    pool.append(union_of(ClassT(rng.choice(classes)), NIL_T))
+    for _ in range(3):
+        pool.append(rec(**{k: (rng.random() < 0.5, rng.choice(pool[:6]))
+                           for k in rng.sample(["a", "b", "c"], rng.randint(0, 2))}))
+    return pool
 
 
 class TestUnionCanon:
@@ -234,9 +277,29 @@ def _exprs(depth=3):
         _leaf,
         st.builds(Seq, sub, sub),
         st.builds(lambda r, a: Call(r, "m", (a,)), sub, sub),
+        st.builds(lambda r, a, b: Call(r, "m2", (a, b)), sub, sub, sub),
+        st.builds(lambda c, t, e: If(Not(Atom(c)), t, e), sub, sub, sub),
         st.builds(lambda b, body: Let("v", b, body), sub, sub),
         st.builds(lambda p: RecordLit((("k", p),)), sub),
+        st.builds(lambda p, q: RecordLit((("j", p), ("k", q))), sub, sub),
     )
+
+
+def test_literal_and_hole_alpha_keys():
+    # each literal is keyed by its one field, falsy values included, and a
+    # hole by its type
+    assert alpha_key(IntLit(0)) == ("IntLit", 0)
+    assert alpha_key(IntLit(1)) == ("IntLit", 1)
+    assert alpha_key(StrLit("")) == ("StrLit", "")
+    assert alpha_key(SymLit("")) == ("SymLit", "")
+    assert alpha_key(SymLit("a")) == ("SymLit", "a")
+    assert alpha_key(ClassLit("Post")) == ("ClassLit", "Post")
+    keys = [alpha_key(x)[1] for x in (IntLit(0), IntLit(1), StrLit(""), SymLit("a"))]
+    assert len(set(keys)) == 4
+    assert alpha_key(TypedHole(STR_T)) == ("TypedHole", STR_T) != alpha_key(TypedHole(INT_T))
+    assert alpha_key(EffectHole(PURE)) != alpha_key(EffectHole(Effect((Star(),))))
+    assert alpha_key(TypedHole(union_of(STR_T, NIL_T))) == alpha_key(
+        TypedHole(union_of(NIL_T, STR_T)))
 
 
 class TestExprHelpers:

@@ -122,8 +122,8 @@ class TestExpandEffectHole:
         products = expand_effect_hole(
             ct, leftmost_hole(self.hole(Effect((Region("Post", "title"),)))), {},
             SearchConfig(), CallMemo())
-        [sync] = [p for p in products if p.expr.first == syncs[0]]
-        assert (sync.dsize, sync.dholes) == (1, 1)
+        [sync] = [j for j, p in enumerate(products.exprs) if p.first == syncs[0]]
+        assert (products.dsizes[sync], products.dholes[sync]) == (1, 1)
 
     def test_typecheck_preserved(self, blog):
         ct, _ = blog

@@ -182,7 +182,7 @@ def test_memoized_typing_refuses_at_the_same_node(blog):
 
 def _table_state(ct):
     return {k: v for k, v in vars(ct).items()
-            if k not in ("_subtype_hits", "_sig_cache", "_impure_cache")}
+            if k not in ("_subtypes", "_sig_cache", "_impure_cache")}
 
 
 @pytest.mark.parametrize("goal", ["s5_branching", "update_post"])

@@ -4,15 +4,18 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from effsynth.core import (
     BOOL_T, Call, ClassLit, ClassOf, ClassT, ConstantPool, EffectHole,
     FalseLit, IntLit, Let, NilLit, PURE, RecordLit, Seq, StrLit, STR_T,
-    TrueLit, TypedHole, Var, alpha_key, children, expr_size, free_vars, leftmost_hole,
+    TrueLit, TypedHole, Var, alpha_key, children, expr_size, free_vars, is_complete,
+    leftmost_hole,
     rebuild, walk,
 )
 from effsynth import search
-from effsynth.goalfile import build, parse_goal_file
+from effsynth.driver import synthesize
+from effsynth.goalfile import build, load_goal_file, parse_goal_file, print_expr
 from effsynth.interp import RuntimeErr, SetupStmt, Spec, run_spec
 from effsynth.search import SearchConfig, SearchStats, dedup_key, normalize_for_key
 
 from conftest import run_generate
+from test_acceptance import CELLS as ACCEPTANCE_CELLS
 
 
 def call(recv, m, *args):
@@ -78,6 +81,21 @@ class TestDedupKey:
         assert dedup_key(a, ct) == dedup_key(b, ct)
         c = call(Let("t0", StrLit("y"), Seq(Var("t0"), Var("t0"))), "title")
         assert dedup_key(a, ct) != dedup_key(c, ct)
+
+    def test_lets_in_the_body_of_a_plain_binding_stay_apart(self, blog):
+        # the outer binding's key comes from the memo after its first use;
+        # the body's lets are numbered after the outer one's, never as it
+        ct, _ = blog
+        write = call(ClassLit("Post"), "create", RecordLit(()))
+        memo: dict = {}
+        keys = set()
+        for _ in range(2):
+            for inner in ("x", "y"):
+                e = Let("x", write, Let("y", write, Var(inner)))
+                key = dedup_key(e, ct, memo)
+                assert key == alpha_key(normalize_for_key(e, ct))
+                keys.add(key)
+        assert len(keys) == 2
 
     def test_sequenced_nil_erased(self, blog):
         ct, _ = blog
@@ -206,6 +224,10 @@ class TestNormalForm:
             want = _reference_normal(e, ct)
             assert normalize_for_key(e, ct) == want
             assert normalize_for_key(e, ct, _SHARED_NORMAL[0]) == want
+            # the key is the normal form's alpha key, also where the
+            # binding's part comes from the memo
+            key = dedup_key(e, ct, _SHARED_NORMAL[0])
+            assert key == (want if search._plain(want) else alpha_key(want))
 
         def old(e):
             return alpha_key(_reference_normal(e, ct))
@@ -414,3 +436,47 @@ class TestDispatchSoundness:
         assert kinds, "expected some runtime failures among candidates"
         assert "method-missing" not in kinds
         assert set(kinds) <= {"nil-method-missing"}
+
+
+class TestDedupSoundness:
+    # the acceptance cells whose searches end within seconds: every one but
+    # the two 100,000-candidate ablations without type guidance
+    FAST = [c for c in ACCEPTANCE_CELLS if c[1] not in ("effects_only", "none")]
+
+    @pytest.mark.parametrize("goal,mode,precision,budget", FAST,
+                             ids=["-".join(c[:3]) for c in FAST])
+    def test_equal_keys_mean_equal_outcomes(self, monkeypatch, goal, mode, precision, budget):
+        # every complete candidate keyed in the call behaves as its normal
+        # form, and the terms of one key give one outcome, on every spec of
+        # the goal. A key drops a dead let only if its binding cannot write,
+        # and that binding is a candidate that failed an assertion on the
+        # spec of the search that expands the let, so it ran there without
+        # a runtime error.
+        gf, ct, world = load_goal_file(f"goals/{goal}.goal")
+        by_key: dict = {}
+
+        def recorded(e, ct_, *rest):
+            key = dedup_key(e, ct_, *rest)
+            if is_complete(e):
+                by_key.setdefault(key, {})[e] = None
+            return key
+
+        monkeypatch.setattr(search, "dedup_key", recorded)
+        synthesize(gf.goal, ct, world, SearchConfig(mode=mode, precision=precision,
+                                                    candidate_budget=budget))
+        monkeypatch.setattr(search, "dedup_key", dedup_key)
+        erased = 0
+        for terms in by_key.values():
+            for t in terms:
+                normal = normalize_for_key(t, ct)
+                erased += normal is not t
+                for spec in gf.goal.specs:
+                    assert (run_spec(t, gf.goal.arity, spec, world, ct)
+                            == run_spec(normal, gf.goal.arity, spec, world, ct)), print_expr(t)
+        groups = [list(terms) for terms in by_key.values() if len(terms) > 1]
+        for terms in groups:
+            for spec in gf.goal.specs:
+                outcomes = {run_spec(t, gf.goal.arity, spec, world, ct) for t in terms}
+                assert len(outcomes) == 1, (spec.title, [print_expr(t) for t in terms])
+        if goal == "update_post":
+            assert groups and erased  # not vacuous: keys erased and merged terms
