@@ -451,36 +451,34 @@ def build(gf: GoalFile) -> tuple[ClassTable, World]:
 def _validate(gf: GoalFile) -> None:
     ct, _ = build(gf)
     calls: dict = {}  # the call rule's outcomes, for this validation only
+
+    def type_of(env: dict, e: Expr, what: str) -> TypeExpr:
+        try:
+            return typecheck(env, ct, e, calls=calls)
+        except TypeCheckError as exc:
+            raise DefinitionError(f"{what} does not typecheck: {exc}") from None
+
     for lit, ty in gf.constants.entries:
-        got = typecheck({}, ct, lit, calls=calls)
-        if not subtype(got, ty, ct):
-            raise DefinitionError(f"constant {print_expr(lit)} is not a {print_type(ty)}")
+        what = f"constant {print_expr(lit)}"
+        if not subtype(type_of({}, lit, what), ty, ct):
+            raise DefinitionError(f"{what} is not a {print_type(ty)}")
     goal = gf.goal
     for spec in goal.specs:
+        name = f"spec {spec.title!r}"
         env: dict[str, TypeExpr] = {}
         for stmt in spec.setup:
-            try:
-                t = typecheck(env, ct, stmt.expr, calls=calls)
-            except TypeCheckError as exc:
-                raise DefinitionError(
-                    f"spec {spec.title!r} setup does not typecheck: {exc}") from None
+            t = type_of(env, stmt.expr, f"{name} setup")
             if stmt.var is not None:
                 env[stmt.var] = t
         if len(spec.call_args) != goal.arity:
-            raise DefinitionError(
-                f"spec {spec.title!r} calls the goal with {len(spec.call_args)} arguments")
+            raise DefinitionError(f"{name} calls the goal with {len(spec.call_args)} arguments")
         for arg, pty in zip(spec.call_args, goal.param_types):
-            t = typecheck(env, ct, arg, calls=calls)
-            if not subtype(t, pty, ct):
-                raise DefinitionError(
-                    f"spec {spec.title!r} argument {print_expr(arg)} is not a {print_type(pty)}")
+            what = f"{name} argument {print_expr(arg)}"
+            if not subtype(type_of(env, arg, what), pty, ct):
+                raise DefinitionError(f"{what} is not a {print_type(pty)}")
         env[RESULT_VAR] = goal.ret
         for a in spec.post:
-            try:
-                typecheck(env, ct, a, calls=calls)
-            except TypeCheckError as exc:
-                raise DefinitionError(
-                    f"spec {spec.title!r} assertion does not typecheck: {exc}") from None
+            type_of(env, a, f"{name} assertion")
 
 
 def load_goal_file(path: str) -> tuple[GoalFile, ClassTable, World]:

@@ -16,7 +16,8 @@ a relation is the value of its rows, so results of separate evaluations
 compare directly. A composed term's results are computed from its operands'
 kept results, one call per start, as TRANSIT and Escher build value vectors.
 Every condition search of the session reads the same bank and grows it only
-when no kept term separates its specs.
+when no kept term separates its specs. With types on, it builds no == the
+call rule refuses (typegen.comparable).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .interp import Evaluator, Spec, SpecResult, SpecStart, param_env, run_spec,
 from .runtime import RuntimeError_, World, record_v, truthy
 from .sat import implies_valid
 from .search import SearchConfig, SearchStats
-from .typegen import TypeCheckError, node_type, record_shapes
+from .typegen import TypeCheckError, comparable, node_type, record_shapes, value_eq
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +309,8 @@ class ConditionBank:
     all_sigs() order, then key-sorted record literals of those methods'
     record-typed parameters. A composed term's operands come from smaller,
     finished levels; with types on, an operand fits its slot by subtyping
-    and the composed node must type. Each term gets one result per spec
+    and the composed node must type; core.eq operand pairs that are not
+    comparable are skipped unbuilt. Each term gets one result per spec
     start of the goal and is keyed by (static type, per-start results);
     only the first term per key is kept. A term that errs at every start is
     dropped, since every term built on it errs there too. Leaves and field
@@ -336,6 +338,7 @@ class ConditionBank:
         records = (p for s in self.sigs for p in s.params if isinstance(p, RecordT))
         self.records = list(dict.fromkeys(records))
         self._fitting: dict = {}
+        self._pairs: dict = {}
         self._pending = self.candidates()
 
     def find(self, true_ids: frozenset[int], false_ids: frozenset[int]) -> Optional[Expr]:
@@ -404,7 +407,10 @@ class ConditionBank:
                         for k, _, _ in ty.fields:
                             yield from self._typed(Call(Var(name), k, ()), kid_tys=(ty,))
             for sig in self.sigs:
+                eq = self.types_on and len(sig.params) == 1 and value_eq(session.ct, sig.name)
                 for kids in self._operands((sig.owner, *sig.params), size - 1):
+                    if eq and not self._comparable(kids[0].ty, kids[1].ty):
+                        continue
                     yield from self._typed(
                         Call(kids[0].expr, sig.name, tuple(k.expr for k in kids[1:])), kids)
             made = set()  # two record types can share a literal
@@ -430,6 +436,13 @@ class ConditionBank:
                                   self.session.memo.calls), operands
         except TypeCheckError:
             pass
+
+    def _comparable(self, t1, t2) -> bool:
+        """typegen.comparable, kept per pair of types."""
+        got = self._pairs.get((t1, t2))
+        if got is None:
+            got = self._pairs[t1, t2] = comparable(t1, t2, self.session.ct)
+        return got
 
     def _operands(self, want, total: int):
         """Operand tuples for slots of the wanted types whose sizes sum to

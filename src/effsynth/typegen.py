@@ -170,7 +170,8 @@ _RULES = {
 
 def _call_rule(e: Call, kid_tys, strict: bool, ct: ClassTable) -> TypeExpr:
     """A call's type: the union of its return types over the receiver's
-    members, each dispatched with its arguments checked (with strict)."""
+    members, each dispatched with its arguments checked (with strict; a
+    value_eq method's operands must also be comparable)."""
     recv_ty = kid_tys[0]
     members = recv_ty.members if isinstance(recv_ty, UnionT) else (recv_ty,)
     # A Nil-only receiver has no methods; Nil members of a wider union are
@@ -192,7 +193,24 @@ def _call_rule(e: Call, kid_tys, strict: bool, ct: ClassTable) -> TypeExpr:
                     raise TypeCheckError(
                         e, f"argument of type {arg_ty} does not fit {p} in {e.method}")
         rets.append(ret)
+    if (strict and len(kid_tys) == 2 and not comparable(recv_ty, kid_tys[1], ct)
+            and value_eq(ct, e.method)):
+        raise TypeCheckError(e, f"{e.method} is never true on {recv_ty} and {kid_tys[1]}")
     return union_of(*rets)
+
+
+def value_eq(ct: ClassTable, method: str) -> bool:
+    """Whether every signature named method runs core.eq."""
+    return {s.native for s in ct.all_sigs() if s.name == method} == {"core.eq"}
+
+
+def comparable(t1: TypeExpr, t2: TypeExpr, ct: ClassTable) -> bool:
+    """Whether a value of t1 can equal one of t2: some of their members,
+    neither Nil nor a record, are related by subtyping. Values of unrelated
+    classes are never equal, and a nil or record receiver errs."""
+    m1, m2 = ([m for m in (t.members if isinstance(t, UnionT) else (t,))
+               if m != NIL_T and not isinstance(m, RecordT)] for t in (t1, t2))
+    return any(subtype(a, b, ct) or subtype(b, a, ct) for a in m1 for b in m2)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,41 @@ class TestGoalParseErrors:
         assert out.err == f"error: {goal}: {where}\n"
 
 
+# (goal file text, the declaration error naming the constant or spec): a
+# term that does not type, loaded by any command, is an error of the file
+ILL_TYPED_GOALS = [
+    ('(constants ((call 1 foo) Int))' + SHORT_GOAL,
+     "constant (call 1 foo) does not typecheck: method foo missing on Int"),
+    ('(goal g (sig (Str -> Str)) (consts)\n'
+     '  (spec "t" (setup (call! nope)) (post (assert true))))',
+     "spec 't' argument nope does not typecheck: unbound variable nope"),
+    ('(goal g (sig (Bool -> Bool)) (consts)\n'
+     '  (spec "t" (setup (call! (call "a" == 1))) (post (assert true))))',
+     "spec 't' argument (call \"a\" == 1) does not typecheck: == is never true on "
+     "ClassT(name='Str') and ClassT(name='Int')"),
+]
+
+
+class TestIllTypedGoals:
+    @pytest.mark.parametrize("command", ["synth", "check"])
+    @pytest.mark.parametrize("text,message", ILL_TYPED_GOALS,
+                             ids=["constant", "unbound-argument", "incomparable-eq"])
+    def test_exits_two_with_one_error_line(self, capsys, tmp_path, command, text, message):
+        goal = tmp_path / "bad.goal"
+        goal.write_text(text, encoding="utf-8")
+        pfile = tmp_path / "p.prog"
+        pfile.write_text("(def g (params) true)", encoding="utf-8")
+        argv = [command, str(goal)]
+        if command == "check":
+            argv += ["--program", str(pfile)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {goal}: {message}\n"
+
+
 class TestEvalAndCheck:
     def test_eval_roundtrip_all_pass(self, capsys, tmp_path):
         # a synthesized program always evaluates clean against its own goal

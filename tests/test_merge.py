@@ -461,11 +461,12 @@ class TestConditionBank:
         assert s.bank is None
 
     def test_unseparable_sides_stop_at_the_budget(self, blog):
-        s = twin_session(blog, SearchConfig(candidate_budget=150), near=True)
+        s = twin_session(blog, SearchConfig(candidate_budget=100), near=True)
         assert synth_condition(s, frozenset({0}), frozenset({1})) is None
-        # the budget in the bank, which would run dry only after 194
+        # the budget in the bank, which would run dry only after 120
         # evaluations
-        assert s.stats.evaluated == 150
+        assert s.stats.evaluated == 100
+        assert next(s.bank._pending, None) is not None
 
     def test_unseparable_sides_stop_at_the_deadline(self, blog):
         # without types the bank keeps finding new values for many seconds
@@ -578,6 +579,34 @@ def test_kept_results_match_whole_term_evaluation(text, mode):
     grow(bank, levels)
     for t in (t for level in bank.levels[:levels] for t in level):
         assert t.results == tuple(_at_start(s, t.expr, spec) for spec in s.specs), t.expr
+
+
+@pytest.mark.parametrize("goal", ["s4_user_exists", "s5_branching", "update_post", "lookup5",
+                                  "near_twins"])
+def test_the_bank_skips_only_pairs_the_call_rule_refuses(monkeypatch, goal):
+    """The bank's filter on == operand pairs only saves time: without it the
+    call rule refuses the same pairs, and the bank makes the same
+    candidates."""
+    text = dict(ORACLE_GOALS)[goal]
+
+    def candidates():
+        bank = ConditionBank(goal_session(text))
+        made = []
+        for cand in bank.candidates():
+            if len(bank.levels) > ORACLE_LEVELS["full"]:
+                break
+            made.append(cand[:2])
+            bank.admit(*cand)
+        return made
+
+    real = ConditionBank._comparable
+    skipped = []
+    monkeypatch.setattr(ConditionBank, "_comparable",
+                        lambda self, *tys: real(self, *tys) or skipped.append(tys))
+    filtered = candidates()
+    monkeypatch.setattr(ConditionBank, "_comparable", lambda self, *tys: True)
+    assert skipped
+    assert candidates() == filtered
 
 
 # `make` is minidb's create declared without its write effect, so the bank

@@ -7,8 +7,8 @@ from heapq import heappush
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import expand_effect, expand_typed
-from effsynth import core, interp, search as search_mod, typegen
+from conftest import expand_effect, expand_typed, random_hierarchy
+from effsynth import core, interp, runtime as rt, search as search_mod, typegen
 from effsynth.core import (
     Atom, BOOL_T, Call, CallMemo, ClassLit, ClassOf, ClassT, ClassTable, ConstantPool,
     DefinitionError, Effect, EffectHole, FalseLit, If, IntLit, INT_T, Let, NIL_T, NilLit, Not,
@@ -711,3 +711,124 @@ def test_fills_per_hole_and_scope_equal_one_list(monkeypatch, mode):
                 checked += 1
         assert len(memo.hole_fills) == len(holes)
     assert checked > 250
+
+
+# ---------------------------------------------------------------------------
+# Typing ==: operands must be comparable
+# ---------------------------------------------------------------------------
+
+def eq_call(t1, t2, method="=="):
+    return Call(TypedHole(t1), method, (TypedHole(t2),))
+
+
+def eq_types(ct, t1, t2, method="=="):
+    """Whether `t1 method t2` types strictly."""
+    try:
+        typecheck({}, ct, eq_call(t1, t2, method))
+    except TypeCheckError:
+        return False
+    return True
+
+
+def eq_table(seed):
+    """A random class tree, plus the blog's two schemas (with their relation
+    classes) and the core methods."""
+    ct = random_hierarchy(random.Random(seed))
+    install_core_methods(ct)
+    for name in ("Post", "User"):
+        install_schema(ct, SchemaDecl(name, (("name", STR_T),)))
+    return ct
+
+
+def value_type(v):
+    """The exact type of a runtime value, as the type system sees it."""
+    if isinstance(v, rt.RecordV):
+        return record_of((k, False, value_type(x)) for k, x in v.pairs)
+    if isinstance(v, rt.ClassV):
+        return ClassOf(v.name)
+    return ClassT(rt.runtime_class_of(v))
+
+
+def universe(ct):
+    """Runtime values of every class of ct: nil, leaf values, an object of
+    every class below Obj that is no leaf or relation class, relations,
+    class objects and records."""
+    leaves = set(core.RESERVED_LEAF_CLASSES) | {"Obj", "Nil"}
+    out = [rt.NIL_V, rt.TRUE_V, rt.FALSE_V, rt.IntV(0), rt.IntV(1), rt.StrV("a"),
+           rt.StrV(""), rt.SymV("a"), rt.record_v({}), rt.record_v({"name": rt.StrV("a")})]
+    for c in ct.classes():
+        if c != "Nil":
+            out.append(rt.ClassV(c))
+        if c not in leaves and not c.startswith("Relation["):
+            out += [rt.ObjV(c, 1), rt.ObjV(c, 2)]
+    out += [rt.RelationV(c, ids) for c in ("Post", "User") for ids in ((), (1,), (1, 2))]
+    return out
+
+
+def eq_type_strategy(ct):
+    classes = ct.classes()
+    member = st.one_of(
+        st.sampled_from(classes).map(ClassT),
+        st.sampled_from([c for c in classes if c != "Nil"]).map(ClassOf),
+        st.sampled_from([rec_t(), rec_t(name=(False, STR_T)), rec_t(name=(True, OBJ_T))]))
+    return st.lists(member, min_size=1, max_size=3).map(lambda ms: union_of(*ms))
+
+
+class TestEqualityRule:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**16), st.data())
+    def test_a_refused_comparison_is_never_true(self, seed, data):
+        ct = eq_table(seed)
+        t1 = data.draw(eq_type_strategy(ct))
+        t2 = data.draw(eq_type_strategy(ct))
+        if typegen.comparable(t1, t2, ct):
+            return
+        assert not eq_types(ct, t1, t2)
+        ev = interp.Evaluator(rt.World({}), ct, CallMemo())
+        values = universe(ct)
+        for v1 in (v for v in values if subtype(value_type(v), t1, ct)):
+            for v2 in (v for v in values if subtype(value_type(v), t2, ct)):
+                try:
+                    got = ev.call(v1, "==", (v2,))
+                except rt.RuntimeError_:
+                    continue
+                assert not rt.truthy(got), (t1, t2, v1, v2)
+
+    def test_related_types_stay_comparable(self):
+        ct = eq_table(0)
+        ct.add_class("Base")
+        ct.add_class("Sub", "Base")
+        post_rel = ClassT(relation_class("Post"))
+        for t1, t2 in [(ClassT("Sub"), ClassT("Base")), (ClassT("Base"), ClassT("Sub")),
+                       (STR_T, union_of(NIL_T, STR_T)), (union_of(NIL_T, STR_T), STR_T),
+                       (post_rel, post_rel), (ClassT("Post"), ClassT("DbRecord"))]:
+            assert eq_types(ct, t1, t2), (t1, t2)
+        for t in [STR_T, INT_T, BOOL_T, ClassT("Sub"), post_rel, OBJ_T,
+                  union_of(NIL_T, ClassT("Post")), union_of(INT_T, STR_T)]:
+            assert eq_types(ct, t, OBJ_T), t
+            assert eq_types(ct, OBJ_T, t), t
+
+    def test_unrelated_types_are_refused(self):
+        ct = eq_table(0)
+        for t1, t2 in [(ClassT(relation_class("Post")), ClassT(relation_class("User"))),
+                       (STR_T, ClassT("Post")), (ClassT("Post"), ClassT("User")),
+                       (INT_T, STR_T), (STR_T, NIL_T), (OBJ_T, rec_t()),
+                       (ClassT("Post"), ClassOf("Post"))]:
+            assert not eq_types(ct, t1, t2), (t1, t2)
+        # the lenient check of the types-off modes keeps every comparison
+        assert typecheck({}, ct, eq_call(STR_T, ClassT("Post")), strict=False) == BOOL_T
+
+    def test_a_user_declared_eq_keeps_every_comparison(self):
+        # a Bool#== that negates its receiver is true on `false == "a"`
+        ct = eq_table(0)
+        ct.add_method(core.MethodSig(BOOL_T, "==", (OBJ_T,), BOOL_T, native="core.not"))
+        assert eq_types(ct, BOOL_T, STR_T)
+        assert eq_types(ct, ClassT("Post"), STR_T)
+        ev = interp.Evaluator(rt.World({}), ct, CallMemo())
+        assert ev.call(rt.FALSE_V, "==", (rt.StrV("a"),)) == rt.TRUE_V
+
+    def test_the_rule_follows_the_core_eq_signature(self):
+        ct = eq_table(0)
+        ct.add_method(core.MethodSig(OBJ_T, "same?", (OBJ_T,), BOOL_T, native="core.eq"))
+        assert not eq_types(ct, STR_T, INT_T, "same?")
+        assert eq_types(ct, STR_T, union_of(NIL_T, STR_T), "same?")
