@@ -338,7 +338,6 @@ class ConditionBank:
         records = (p for s in self.sigs for p in s.params if isinstance(p, RecordT))
         self.records = list(dict.fromkeys(records))
         self._fitting: dict = {}
-        self._pairs: dict = {}
         self._pending = self.candidates()
 
     def find(self, true_ids: frozenset[int], false_ids: frozenset[int]) -> Optional[Expr]:
@@ -409,7 +408,7 @@ class ConditionBank:
             for sig in self.sigs:
                 eq = self.types_on and len(sig.params) == 1 and value_eq(session.ct, sig.name)
                 for kids in self._operands((sig.owner, *sig.params), size - 1):
-                    if eq and not self._comparable(kids[0].ty, kids[1].ty):
+                    if eq and not comparable(kids[0].ty, kids[1].ty, session.ct):
                         continue
                     yield from self._typed(
                         Call(kids[0].expr, sig.name, tuple(k.expr for k in kids[1:])), kids)
@@ -436,13 +435,6 @@ class ConditionBank:
                                   self.session.memo.calls), operands
         except TypeCheckError:
             pass
-
-    def _comparable(self, t1, t2) -> bool:
-        """typegen.comparable, kept per pair of types."""
-        got = self._pairs.get((t1, t2))
-        if got is None:
-            got = self._pairs[t1, t2] = comparable(t1, t2, self.session.ct)
-        return got
 
     def _operands(self, want, total: int):
         """Operand tuples for slots of the wanted types whose sizes sum to

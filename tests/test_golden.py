@@ -17,22 +17,13 @@ from effsynth.driver import synthesize
 from effsynth.goalfile import build, load_goal_file, parse_goal_file, print_program
 from effsynth.search import SearchConfig
 
+import test_acceptance as acceptance
 from conftest import lookup_goal_text
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_programs.json").read_text())
 
-CELLS = [
-    ("s1_lvar", "full", "precise", 50_000),
-    ("s2_false", "full", "precise", 50_000),
-    ("s3_method_chains", "full", "precise", 50_000),
-    ("s4_user_exists", "full", "precise", 50_000),
-    ("s5_branching", "full", "precise", 50_000),
-    ("s7_fold_branches", "full", "precise", 50_000),
-    ("update_post", "full", "precise", 100_000),
-    ("update_post", "types_only", "precise", 100_000),
-    ("update_post", "full", "class", 100_000),
-    ("update_post", "full", "purity", 100_000),
-]
+# every acceptance cell but the two types-off ones, which run 100k evaluations
+CELLS = [c for c in acceptance.CELLS if c[1] not in ("effects_only", "none")]
 
 
 def _outcome(gf, ct, world, cfg):

@@ -126,6 +126,8 @@ def test_memoized_typing_agrees_with_a_fresh_rule(monkeypatch):
 
         monkeypatch.setattr(typegen, "node_type", recorded)
         monkeypatch.setattr(merge, "node_type", recorded)
+        # without the bank's filter on == pairs, the call rule refuses them
+        monkeypatch.setattr(merge, "comparable", lambda *args: True)
         synthesize(gf.goal, ct, world, SearchConfig(mode=mode, precision=precision,
                                                     candidate_budget=budget))
         monkeypatch.setattr(typegen, "node_type", node_type)
@@ -143,10 +145,8 @@ def test_memoized_typing_agrees_with_a_fresh_rule(monkeypatch):
             assert (memoized[1] is e) == (fresh[1] is e)
             errors += fresh[2] is not None
             calls += isinstance(e, Call)
-    # not vacuous: calls were typed, and some were refused (the condition
-    # bank no longer builds the == pairs of a class object or a record, so
-    # one refusal per class-object receiver is left)
-    assert calls > 1000 and errors >= 10, (calls, errors)
+    # not vacuous: calls were typed, and some were refused
+    assert calls > 1000 and errors > 100, (calls, errors)
 
 
 def test_memoized_typing_refuses_at_the_same_node(blog):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import NEAR_TWINS, lookup_goal_text
+from effsynth import merge
 from effsynth.core import (
     Atom, Call, ClassLit, ClassOf, ClassT, ConstantPool, FALSE, FalseLit, If,
     IntLit, Let, NIL, NilLit, Not, Or, RecordLit, StrLit, STR_T, TRUE_COND,
@@ -599,12 +600,12 @@ def test_the_bank_skips_only_pairs_the_call_rule_refuses(monkeypatch, goal):
             bank.admit(*cand)
         return made
 
-    real = ConditionBank._comparable
+    real = merge.comparable
     skipped = []
-    monkeypatch.setattr(ConditionBank, "_comparable",
-                        lambda self, *tys: real(self, *tys) or skipped.append(tys))
+    monkeypatch.setattr(merge, "comparable",
+                        lambda *args: real(*args) or skipped.append(args[:2]))
     filtered = candidates()
-    monkeypatch.setattr(ConditionBank, "_comparable", lambda self, *tys: True)
+    monkeypatch.setattr(merge, "comparable", lambda *args: True)
     assert skipped
     assert candidates() == filtered
 
