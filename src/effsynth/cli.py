@@ -8,7 +8,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import DefinitionError, subtype
+from .core import DefinitionError, print_type, subtype
 from .driver import Program, synthesize
 from .goalfile import (
     load_goal_file, parse_program_file, print_effect, print_program,
@@ -127,8 +127,8 @@ def cmd_check(args) -> int:
         print(f"type error: {exc}", file=sys.stderr)
         return 1
     if not subtype(got, gf.goal.ret, ct):
-        print(f"type error: body has type {got}, goal returns {gf.goal.ret}",
-              file=sys.stderr)
+        print(f"type error: body has type {print_type(got)}, goal returns "
+              f"{print_type(gf.goal.ret)}", file=sys.stderr)
         return 1
     print(f"ok: {program.name} typechecks")
     return 0

@@ -139,6 +139,21 @@ def union_of(*types: TypeExpr) -> TypeExpr:
     return UnionT(tuple(seen))
 
 
+def print_type(t: TypeExpr) -> str:
+    """A type in goal-file syntax, as goalfile parses it and error messages
+    show it."""
+    if isinstance(t, ClassT):
+        return t.name
+    if isinstance(t, ClassOf):
+        return f"(class-of {t.name})"
+    if isinstance(t, UnionT):
+        return "(u " + " ".join(print_type(m) for m in t.members) + ")"
+    fields = []
+    for k, opt, ty in t.fields:
+        fields.append(f"({k} {print_type(ty)} opt)" if opt else f"({k} {print_type(ty)})")
+    return "(record " + " ".join(fields) + ")"
+
+
 # ---------------------------------------------------------------------------
 # Effects
 # ---------------------------------------------------------------------------
@@ -288,7 +303,7 @@ def resolve_self_pair(p: EffectPair, receiver_class: str, ct: "ClassTable") -> E
 
 
 # ---------------------------------------------------------------------------
-# Expressions and conditionals
+# Expressions
 # ---------------------------------------------------------------------------
 
 class NilLit(Value):
@@ -355,7 +370,7 @@ class Call(Value):
 class If(Value):
     __slots__ = ("cond", "then", "orelse")
 
-    def __init__(self, cond: Cond, then: Expr, orelse: Expr) -> None:
+    def __init__(self, cond: Expr, then: Expr, orelse: Expr) -> None:
         self.cond, self.then, self.orelse = cond, then, orelse
 
 
@@ -393,36 +408,12 @@ Expr = Union[
 ]
 
 
-class Atom(Value):
-    __slots__ = ("expr",)
-
-    def __init__(self, expr: Expr) -> None:
-        self.expr = expr
-
-
-class Not(Value):
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: Cond) -> None:
-        self.inner = inner
-
-
-class Or(Value):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Cond, right: Cond) -> None:
-        self.left, self.right = left, right
-
-
-Cond = Union[Atom, Not, Or]
-
 NIL = NilLit()
 TRUE = TrueLit()
 FALSE = FalseLit()
-TRUE_COND = Atom(TRUE)
 
 
-def children(e: Union[Expr, Cond]) -> tuple:
+def children(e: Expr) -> tuple:
     """Sub-terms of a node in left-to-right order."""
     kids = _CHILDREN.get(type(e))
     return () if kids is None else kids(e)
@@ -434,27 +425,24 @@ _CHILDREN = {
     If: lambda e: (e.cond, e.then, e.orelse),
     Let: lambda e: (e.bound, e.body),
     RecordLit: lambda e: tuple(v for _, v in e.pairs),
-    Atom: lambda e: (e.expr,),
-    Not: lambda e: (e.inner,),
-    Or: lambda e: (e.left, e.right),
 }
 
 
-def walk(e: Union[Expr, Cond]) -> Iterator[Union[Expr, Cond]]:
+def walk(e: Expr) -> Iterator[Expr]:
     """Preorder traversal."""
     yield e
     for c in children(e):
         yield from walk(c)
 
 
-def expr_size(e: Union[Expr, Cond]) -> int:
+def expr_size(e: Expr) -> int:
     """AST size: method calls and record pairs cost 1 each, all else is free."""
     t = type(e)
     own = 1 if t is Call else len(e.pairs) if t is RecordLit else 0
     return own + sum(map(expr_size, children(e)))
 
 
-def is_complete(e: Union[Expr, Cond]) -> bool:
+def is_complete(e: Expr) -> bool:
     """True iff the term contains no typed hole and no effect hole."""
     return leftmost_hole(e) is None
 
@@ -469,10 +457,10 @@ class HolePath(Value):
     __slots__ = ("hole", "frames")
 
     def __init__(self, hole: Union[TypedHole, EffectHole],
-                 frames: tuple[tuple[Union[Expr, Cond], int, tuple], ...]) -> None:
+                 frames: tuple[tuple[Expr, int, tuple], ...]) -> None:
         self.hole, self.frames = hole, frames
 
-    def plug(self, fill: Expr) -> Union[Expr, Cond]:
+    def plug(self, fill: Expr) -> Expr:
         """The term with the hole replaced by fill. Only the nodes on the path
         are rebuilt; every subterm off it is shared with the term, as are a
         call's argument tuple when the path runs through its receiver and a
@@ -496,7 +484,7 @@ class HolePath(Value):
         return e
 
 
-def leftmost_hole(e: Union[Expr, Cond]) -> Optional[HolePath]:
+def leftmost_hole(e: Expr) -> Optional[HolePath]:
     """The path to the first hole in preorder, or None for a complete term."""
     frames: list = []
     hole = _descend(e, frames)
@@ -523,7 +511,7 @@ def _descend(e, frames: list):
     return None
 
 
-def free_vars(e: Union[Expr, Cond]) -> set[str]:
+def free_vars(e: Expr) -> set[str]:
     if isinstance(e, Var):
         return {e.name}
     if isinstance(e, Let):
@@ -531,7 +519,7 @@ def free_vars(e: Union[Expr, Cond]) -> set[str]:
     return set().union(*map(free_vars, children(e)))
 
 
-def rebuild(e: Union[Expr, Cond], kids: list) -> Union[Expr, Cond]:
+def rebuild(e: Expr, kids: list) -> Expr:
     """Reconstruct a node with replaced children (same order as children());
     the other nodes take their children as their fields, in order."""
     t = type(e)
@@ -544,7 +532,7 @@ def rebuild(e: Union[Expr, Cond], kids: list) -> Union[Expr, Cond]:
     return t(*kids) if t in _CHILDREN else e
 
 
-def alpha_key(e: Union[Expr, Cond]) -> tuple:
+def alpha_key(e: Expr) -> tuple:
     """Structural key with let-bound variables renamed in traversal order."""
     return _alpha(e, {}, [0])
 

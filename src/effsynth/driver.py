@@ -20,8 +20,8 @@ import time
 from typing import Optional
 
 from .core import (
-    ClassTable, ConstantPool, DefinitionError, Expr, If, TRUE_COND, TypeExpr,
-    Value, expr_size,
+    ClassTable, ConstantPool, DefinitionError, Expr, If, TRUE, TypeExpr, Value,
+    expr_size,
 )
 from .effgen import erase_table
 from .interp import Spec, param_env
@@ -149,7 +149,7 @@ def synthesize(goal: Goal, ct: ClassTable, world: World,
                             cfg, session.stats, deadline, session.start(spec), session.memo)
             found = expr is not None
             if found:
-                tuples.append(make_merge_tuple(session, expr, TRUE_COND, frozenset({idx})))
+                tuples.append(make_merge_tuple(session, expr, TRUE, frozenset({idx})))
         per_spec.append(PerSpecReport(
             spec.title, reused,
             session.stats.expanded - expanded_before,

@@ -14,8 +14,7 @@ Grammar (informal):
     EFF   ::= pure | * | self | self.R | CLASS | CLASS.R | (u EFF EFF...)
     EXPR  ::= nil | true | false | INT | "STR" | (sym NAME) | NAME
             | (call EXPR NAME EXPR...) | (seq EXPR EXPR) | (let NAME EXPR EXPR)
-            | (if COND EXPR EXPR) | (record (NAME EXPR)...)
-    COND  ::= (not COND) | (or COND COND) | EXPR
+            | (if EXPR EXPR EXPR) | (record (NAME EXPR)...)
 
 A bare NAME in expression position is a class literal when the name is a
 declared class, otherwise a variable reference.
@@ -24,12 +23,11 @@ declared class, otherwise a variable reference.
 from __future__ import annotations
 
 from .core import (
-    Atom, Call, ClassLit, ClassOf, ClassStar, ClassT, ClassTable, Cond,
-    ConstantPool, DefinitionError, Effect, EffectHole, EffectPair, Expr,
-    FalseLit, If, IntLit, Let, MethodSig, NilLit, Not, Or, PURE, RecordLit,
-    Region, STAR, SELF_STAR, SelfRegion, SelfStar, Seq, Star, StrLit, SymLit,
-    TrueLit, TypedHole, TypeExpr, UnionT, Value, Var, record_of, subtype,
-    union_of,
+    Call, ClassLit, ClassOf, ClassStar, ClassT, ClassTable, ConstantPool,
+    DefinitionError, Effect, EffectHole, EffectPair, Expr, FalseLit, If,
+    IntLit, Let, MethodSig, NilLit, PURE, RecordLit, Region, STAR, SELF_STAR,
+    SelfRegion, SelfStar, Seq, Star, StrLit, SymLit, TrueLit, TypedHole,
+    TypeExpr, Value, Var, print_type, record_of, subtype, union_of,
 )
 from .driver import Goal, Program
 from .interp import RESULT_VAR, SetupStmt, Spec
@@ -153,7 +151,7 @@ def parse_effect(node: SExp, class_names: set[str]) -> Effect:
 
 
 # ---------------------------------------------------------------------------
-# Expressions and conditions
+# Expressions
 # ---------------------------------------------------------------------------
 
 def parse_expr(node: SExp, class_names: set[str]) -> Expr:
@@ -196,8 +194,8 @@ def parse_expr(node: SExp, class_names: set[str]) -> Expr:
                    parse_expr(node.items[3], class_names))
     if head == "if":
         if len(node.items) != 4:
-            raise _err(node, "(if COND EXPR EXPR)")
-        return If(parse_cond(node.items[1], class_names),
+            raise _err(node, "(if EXPR EXPR EXPR)")
+        return If(parse_expr(node.items[1], class_names),
                   parse_expr(node.items[2], class_names),
                   parse_expr(node.items[3], class_names))
     if head == "record":
@@ -214,20 +212,6 @@ def parse_expr(node: SExp, class_names: set[str]) -> Expr:
             pairs.append((k, parse_expr(pl.items[1], class_names)))
         return RecordLit(tuple(pairs))
     raise _err(node, "expected an expression")
-
-
-def parse_cond(node: SExp, class_names: set[str]) -> Cond:
-    head = _head(node)
-    if head == "not":
-        if len(node.items) != 2:
-            raise _err(node, "(not COND)")
-        return Not(parse_cond(node.items[1], class_names))
-    if head == "or":
-        if len(node.items) != 3:
-            raise _err(node, "(or COND COND)")
-        return Or(parse_cond(node.items[1], class_names),
-                  parse_cond(node.items[2], class_names))
-    return Atom(parse_expr(node, class_names))
 
 
 # ---------------------------------------------------------------------------
@@ -492,19 +476,6 @@ def load_goal_file(path: str) -> tuple[GoalFile, ClassTable, World]:
 # Printing
 # ---------------------------------------------------------------------------
 
-def print_type(t: TypeExpr) -> str:
-    if isinstance(t, ClassT):
-        return t.name
-    if isinstance(t, ClassOf):
-        return f"(class-of {t.name})"
-    if isinstance(t, UnionT):
-        return "(u " + " ".join(print_type(m) for m in t.members) + ")"
-    fields = []
-    for k, opt, ty in t.fields:
-        fields.append(f"({k} {print_type(ty)} opt)" if opt else f"({k} {print_type(ty)})")
-    return "(record " + " ".join(fields) + ")"
-
-
 def print_effect(e: Effect) -> str:
     if e.is_pure():
         return "pure"
@@ -543,20 +514,12 @@ _PRINT = {
     Seq: lambda e: f"(seq {print_expr(e.first)} {print_expr(e.second)})",
     Call: lambda e: " ".join(["(call", print_expr(e.recv), e.method,
                               *map(print_expr, e.args)]) + ")",
-    If: lambda e: f"(if {print_cond(e.cond)} {print_expr(e.then)} {print_expr(e.orelse)})",
+    If: lambda e: f"(if {print_expr(e.cond)} {print_expr(e.then)} {print_expr(e.orelse)})",
     Let: lambda e: f"(let {e.var} {print_expr(e.bound)} {print_expr(e.body)})",
     RecordLit: lambda e: "(record" + "".join(f" ({k} {print_expr(v)})" for k, v in e.pairs) + ")",
     TypedHole: lambda e: f"(hole {print_type(e.ty)})",
     EffectHole: lambda e: f"(effhole {print_effect(e.eff)})",
 }
-
-
-def print_cond(c: Cond) -> str:
-    if isinstance(c, Atom):
-        return print_expr(c.expr)
-    if isinstance(c, Not):
-        return f"(not {print_cond(c.inner)})"
-    return f"(or {print_cond(c.left)} {print_cond(c.right)})"
 
 
 def print_program(p: Program) -> str:

@@ -20,10 +20,9 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from .core import (
-    Atom, Call, CallMemo, ClassLit, ClassOf, ClassT, ClassTable, Cond, DefinitionError,
-    EffectPair, Expr, FalseLit, If, IntLit, Let, NilLit, Not, Or, PURE_PAIR,
-    RecordLit, Seq, StrLit, SymLit, TrueLit, Value, Var, pair_union,
-    resolve_self_pair,
+    Call, CallMemo, ClassLit, ClassOf, ClassT, ClassTable, DefinitionError,
+    EffectPair, Expr, FalseLit, If, IntLit, Let, NilLit, PURE_PAIR, RecordLit,
+    Seq, StrLit, SymLit, TrueLit, Value, Var, pair_union, resolve_self_pair,
 )
 from .runtime import (
     Checkpoint, ClassV, FALSE_V, NIL_V, NilV, IntV, RecordV, RuntimeError_,
@@ -138,7 +137,7 @@ class Evaluator:
         return self.eval(inner, e.body)
 
     def _if(self, env, e: If) -> RuntimeValue:
-        return self.eval(env, e.then if self.eval_cond(env, e.cond) else e.orelse)
+        return self.eval(env, e.then if truthy(self.eval(env, e.cond)) else e.orelse)
 
     def _record(self, env, e: RecordLit) -> RuntimeValue:
         return record_v({k: self.eval(env, v) for k, v in e.pairs})
@@ -146,15 +145,6 @@ class Evaluator:
     def _call(self, env, e: Call) -> RuntimeValue:
         recv = self.eval(env, e.recv)
         return self.call(recv, e.method, tuple([self.eval(env, a) for a in e.args]))
-
-    def eval_cond(self, env: dict[str, RuntimeValue], c: Cond) -> bool:
-        if isinstance(c, Atom):
-            return truthy(self.eval(env, c.expr))
-        if isinstance(c, Not):
-            return not self.eval_cond(env, c.inner)
-        if isinstance(c, Or):
-            return self.eval_cond(env, c.left) or self.eval_cond(env, c.right)
-        raise RuntimeError_("not-evaluable", f"bad condition {c!r}")
 
     def call(self, recv: RuntimeValue, method: str,
              args: tuple[RuntimeValue, ...]) -> RuntimeValue:

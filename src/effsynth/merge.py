@@ -8,6 +8,10 @@ expressions, fold boolean branches back into their conditions, and guess
 negated conditions when the tests confirm them. Merging builds one decision
 list, as EUSolver's decision-tree unification does, and simplifies it once.
 
+A condition is a term of the same language, tested for truthiness: a bank
+term, `true`, its negation `(if c false true)` (negate) or a disjunction
+`(if a true b)`. sat.implies_valid reads `if` as the connective.
+
 Condition synthesis answers only from one bank per merge session:
 write-pure terms over the goal's arguments, enumerated bottom-up by size and
 kept one per observational class, i.e. per static type and results at the
@@ -27,9 +31,9 @@ import time
 from typing import Optional
 
 from .core import (
-    Atom, BOOL_T, Call, CallMemo, ClassTable, Cond, ConstantPool, Expr, FalseLit, If,
-    NIL, Not, Or, RecordLit, RecordT, TRUE, TRUE_COND, TrueLit, TypeExpr, Value,
-    Var, alpha_key, subtype,
+    BOOL_T, Call, CallMemo, ClassTable, ConstantPool, Expr, FALSE, FalseLit, If,
+    NIL, RecordLit, RecordT, TRUE, TrueLit, TypeExpr, Value, Var, alpha_key,
+    subtype,
 )
 from .interp import Evaluator, Spec, SpecResult, SpecStart, param_env, run_spec, spec_start
 from .runtime import RuntimeError_, World, record_v, truthy
@@ -42,48 +46,12 @@ from .typegen import TypeCheckError, comparable, node_type, record_shapes, value
 # Condition utilities
 # ---------------------------------------------------------------------------
 
-def canon_cond(c: Cond) -> Cond:
-    """Double negations cancel; everything else is structural."""
-    if isinstance(c, Not):
-        inner = canon_cond(c.inner)
-        if isinstance(inner, Not):
-            return inner.inner
-        return Not(inner)
-    if isinstance(c, Or):
-        return Or(canon_cond(c.left), canon_cond(c.right))
-    return c
-
-
-def canon_not(c: Cond) -> Cond:
-    return canon_cond(Not(c))
-
-
-def cond_key(c: Cond) -> tuple:
-    return alpha_key(canon_cond(c))
-
-
-def cond_eq(c1: Cond, c2: Cond) -> bool:
-    return cond_key(c1) == cond_key(c2)
-
-
-def is_tautology(c: Cond) -> bool:
-    """Recognizes the b-or-not-b shape the boolean folding rules produce."""
-    c = canon_cond(c)
-    if c == TRUE_COND:
-        return True
-    if isinstance(c, Or):
-        return (is_tautology(c.left) or is_tautology(c.right)
-                or cond_eq(c.left, canon_not(c.right)))
-    return False
-
-
-def cond_as_expr(c: Cond) -> Expr:
-    """A Bool-valued expression computing the condition."""
-    if isinstance(c, Atom):
-        return c.expr
-    if isinstance(c, Not):
-        return Call(cond_as_expr(c.inner), "!", ())
-    return If(c.left, TRUE, cond_as_expr(c.right))
+def negate(c: Expr) -> Expr:
+    """The condition (if c false true); a negation's negation is its
+    condition, so negations never stack."""
+    if type(c) is If and type(c.then) is FalseLit and type(c.orelse) is TrueLit:
+        return c.cond
+    return If(c, FALSE, TRUE)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +61,7 @@ def cond_as_expr(c: Cond) -> Expr:
 class MergeTuple(Value):
     __slots__ = ("expr", "cond", "specs")
 
-    def __init__(self, expr: Expr, cond: Cond, specs: frozenset[int]) -> None:
+    def __init__(self, expr: Expr, cond: Expr, specs: frozenset[int]) -> None:
         self.expr, self.cond, self.specs = expr, cond, specs
 
 
@@ -120,12 +88,12 @@ def _normalize_prog(e: Expr) -> Expr:
     if not isinstance(e, If):
         return e
     els = _normalize_prog(e.orelse)
-    cond = canon_cond(e.cond)
-    if is_tautology(cond):
+    if implies_valid(TRUE, e.cond):
         return e.then
-    if isinstance(els, If) and els.orelse == NIL and cond_eq(els.cond, canon_not(cond)):
+    if (isinstance(els, If) and els.orelse == NIL
+            and alpha_key(els.cond) == alpha_key(negate(e.cond))):
         els = els.then
-    return If(cond, e.then, els)
+    return If(e.cond, e.then, els)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +146,7 @@ class MergeSession:
                         self.start(spec), self.memo)
 
 
-def make_merge_tuple(session: MergeSession, expr: Expr, cond: Cond,
+def make_merge_tuple(session: MergeSession, expr: Expr, cond: Expr,
                      spec_ids: frozenset[int]) -> MergeTuple:
     """Tuple constructor enforcing that expr passes each of its specs."""
     for i in sorted(spec_ids):
@@ -199,26 +167,25 @@ class _Error:
 ERR = _Error()
 
 
-def _at_start(session: MergeSession, term, spec: Spec) -> object:
-    """A condition's truth, or a complete expression's value, at a spec's
-    start in the goal's argument scope; ERR if a runtime error is raised,
-    also in the spec's setup or arguments."""
+def _at_start(session: MergeSession, term: Expr, spec: Spec) -> object:
+    """A complete term's value at a spec's start in the goal's argument
+    scope; ERR if a runtime error is raised, also in the spec's setup or
+    arguments."""
     start = session.start(spec)
     if start.error is not None:
         return ERR
     session.world.restore(start.checkpoint)
     ev = Evaluator(session.world, session.ct, session.memo)
     try:
-        if isinstance(term, (Atom, Not, Or)):
-            return ev.eval_cond(param_env(start.args), term)
         return ev.eval(param_env(start.args), term)
     except RuntimeError_:
         return ERR
 
 
-def _cond_holds(session: MergeSession, c: Cond, spec: Spec, want: bool) -> bool:
-    """Whether c evaluates to want at a spec's start; an error is a miss."""
-    return _at_start(session, c, spec) == want
+def _cond_holds(session: MergeSession, c: Expr, spec: Spec, want: bool) -> bool:
+    """Whether c's truthiness at a spec's start is want; an error is a miss."""
+    got = _at_start(session, c, spec)
+    return got is not ERR and truthy(got) == want
 
 
 def _battery(session: MergeSession, term, specs, operands=()) -> tuple:
@@ -258,14 +225,14 @@ def _battery(session: MergeSession, term, specs, operands=()) -> tuple:
 # ---------------------------------------------------------------------------
 
 def synth_condition(session: MergeSession, true_ids: frozenset[int],
-                    false_ids: frozenset[int]) -> Optional[Cond]:
+                    false_ids: frozenset[int]) -> Optional[Expr]:
     """A condition truthy at every true-spec start and falsy at every
     false-spec start, or None: the first Bool term of the session's
     condition bank that fits. An empty false side needs no condition.
     Overlapping sides have none, nor do twins: specs whose starts have
     equal arguments and worlds."""
     if not false_ids:
-        return TRUE_COND
+        return TRUE
     memo_key = (tuple(sorted(true_ids)), tuple(sorted(false_ids)))
     if memo_key in session.cond_memo:
         return session.cond_memo[memo_key]
@@ -275,9 +242,7 @@ def synth_condition(session: MergeSession, true_ids: frozenset[int],
     starts = [(st.args, st.checkpoint) for st in map(session.start, specs)]
     if any(st in starts[len(true_ids):] for st in starts[:len(true_ids)]):
         return None
-    found = search(session, true_ids, false_ids)
-    cond = Atom(found) if found is not None else None
-    session.cond_memo[memo_key] = cond
+    cond = session.cond_memo[memo_key] = search(session, true_ids, false_ids)
     return cond
 
 
@@ -498,7 +463,7 @@ def rewrite_merge(term: MergeTerm, session: MergeSession) -> MergeTerm:
 
 
 def _tuple_key(t: MergeTuple) -> tuple:
-    return (alpha_key(t.expr), cond_key(t.cond), tuple(sorted(t.specs)))
+    return (alpha_key(t.expr), alpha_key(t.cond), tuple(sorted(t.specs)))
 
 
 def _rewrite_pair(t1: MergeTuple, t2: MergeTuple, later: frozenset[int],
@@ -512,25 +477,26 @@ def _rewrite_pair(t1: MergeTuple, t2: MergeTuple, later: frozenset[int],
         return (MergeTuple(t1.expr, t1.cond, union),)
     if e_eq and imp21:
         return (MergeTuple(t1.expr, t2.cond, union),)
+    either = If(t1.cond, TRUE, t2.cond)
     if e_eq:
-        return (MergeTuple(t1.expr, Or(t1.cond, t2.cond), union),)
+        return (MergeTuple(t1.expr, either, union),)
 
-    neg_related = cond_eq(t2.cond, canon_not(t1.cond))
+    guess = negate(t1.cond)
+    neg_related = alpha_key(t2.cond) == alpha_key(guess)
     if isinstance(t1.expr, TrueLit) and isinstance(t2.expr, FalseLit) and neg_related:
-        return (MergeTuple(cond_as_expr(t1.cond), Or(t1.cond, t2.cond), union),)
+        return (MergeTuple(t1.cond, either, union),)
     if isinstance(t1.expr, FalseLit) and isinstance(t2.expr, TrueLit) and neg_related:
-        return (MergeTuple(cond_as_expr(t2.cond), Or(t1.cond, t2.cond), union),)
+        return (MergeTuple(t2.cond, either, union),)
 
     # A guessed negation holds wherever the other branch fails, so it would
     # also catch the later specs; guess only at the end of the chain.
     if not neg_related and not later:
-        guess = canon_not(t1.cond)
         session.count_eval()
         if all(_cond_holds(session, guess, session.specs[j], True)
                for j in sorted(t2.specs)):
             return (t1, MergeTuple(t2.expr, guess, t2.specs))
-        guess = canon_not(t2.cond)
-        if not cond_eq(t1.cond, guess):
+        guess = negate(t2.cond)
+        if alpha_key(t1.cond) != alpha_key(guess):
             session.count_eval()
             if all(_cond_holds(session, guess, session.specs[i], True)
                    for i in sorted(t1.specs)):
@@ -562,7 +528,7 @@ def merge_program(tuples: list[MergeTuple], session: MergeSession) -> Optional[E
     rest = list(branches.values())
     for k, (expr, specs) in enumerate(rest):
         later = frozenset().union(*(s for _, s in rest[k + 1:]))
-        cond = synth_condition(session, specs, later) if later else TRUE_COND
+        cond = synth_condition(session, specs, later) if later else TRUE
         if cond is None:
             return None
         chain.append(MergeTuple(expr, cond, specs))

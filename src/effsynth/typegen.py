@@ -2,9 +2,9 @@
 
 Checking implements the standard rules for the core language: literals at
 their leaf classes, calls via class-table lookup with argument subtyping,
-if-expressions at the union of their branches, typed holes at their
-annotation, and effect holes at Obj. _RULES holds each node class's rule;
-whole-term checking applies them bottom-up.
+if-expressions with a Bool condition at the union of their branches, typed
+holes at their annotation, and effect holes at Obj. _RULES holds each node
+class's rule; whole-term checking applies them bottom-up.
 
 Expansion fills the leftmost hole (core.leftmost_hole) with constants,
 variables, record-field reads, method-call templates, or record-literal
@@ -26,11 +26,11 @@ from array import array
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .core import (
-    Atom, BOOL_T, Call, CallMemo, ClassLit, ClassOf, ClassT, ClassTable,
+    BOOL_T, Call, CallMemo, ClassLit, ClassOf, ClassT, ClassTable,
     ConstantPool, DefinitionError, EffectHole, Expr, FalseLit, HolePath, If,
-    IntLit, INT_T, Let, NIL_T, NilLit, Not, OBJ_T, Or, RecordLit, RecordT,
-    Seq, StrLit, STR_T, SymLit, SYM_T, TrueLit, TypedHole, TypeExpr, UnionT,
-    Var, _CHILDREN, children, expr_size, record_of, subtype, union_of, walk,
+    IntLit, INT_T, Let, NIL_T, NilLit, OBJ_T, RecordLit, RecordT, Seq, StrLit,
+    STR_T, SymLit, SYM_T, TrueLit, TypedHole, TypeExpr, UnionT, Var, _CHILDREN,
+    children, expr_size, print_type, record_of, subtype, union_of, walk,
 )
 
 if TYPE_CHECKING:
@@ -63,7 +63,7 @@ def _dispatch_member(member: TypeExpr, method: str, args: int, ct: ClassTable):
         if args != len(sig.params):
             raise TypeCheckError(member, f"{method} expects {len(sig.params)} arguments")
         return sig.params, sig.ret
-    raise TypeCheckError(member, f"cannot call {method} on {member}")
+    raise TypeCheckError(member, f"cannot call {method} on {print_type(member)}")
 
 
 def typecheck(env: TypeEnv, ct: ClassTable, e: Expr, *, strict: bool = True,
@@ -131,10 +131,10 @@ def _class_type(env, ct, e, kid_tys, strict, calls):
     return ClassOf(e.name)
 
 
-def _atom_type(env, ct, e, kid_tys, strict, calls):
+def _if_type(env, ct, e, kid_tys, strict, calls):
     if strict and not subtype(kid_tys[0], BOOL_T, ct):
-        raise TypeCheckError(e, f"condition has type {kid_tys[0]}, not Bool")
-    return BOOL_T
+        raise TypeCheckError(e, f"condition has type {print_type(kid_tys[0])}, not Bool")
+    return union_of(kid_tys[1], kid_tys[2])
 
 
 def _const(ty: TypeExpr):
@@ -161,10 +161,7 @@ _RULES = {
     ClassLit: _class_type,
     RecordLit: lambda env, ct, e, kid_tys, *_: record_of(
         (k, False, t) for (k, _), t in zip(e.pairs, kid_tys)),
-    If: lambda env, ct, e, kid_tys, *_: union_of(kid_tys[1], kid_tys[2]),
-    Atom: _atom_type,
-    Not: _const(BOOL_T),
-    Or: _const(BOOL_T),
+    If: _if_type,
 }
 
 
@@ -191,11 +188,13 @@ def _call_rule(e: Call, kid_tys, strict: bool, ct: ClassTable) -> TypeExpr:
             for arg_ty, p in zip(kid_tys[1:], params):
                 if not subtype(arg_ty, p, ct):
                     raise TypeCheckError(
-                        e, f"argument of type {arg_ty} does not fit {p} in {e.method}")
+                        e, f"argument of type {print_type(arg_ty)} does not fit "
+                        f"{print_type(p)} in {e.method}")
         rets.append(ret)
     if (strict and len(kid_tys) == 2 and not comparable(recv_ty, kid_tys[1], ct)
             and value_eq(ct, e.method)):
-        raise TypeCheckError(e, f"{e.method} is never true on {recv_ty} and {kid_tys[1]}")
+        raise TypeCheckError(e, f"{e.method} is never true on {print_type(recv_ty)} and "
+                                f"{print_type(kid_tys[1])}")
     return union_of(*rets)
 
 

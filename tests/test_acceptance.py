@@ -12,15 +12,15 @@ import time
 import pytest
 
 from effsynth.core import (
-    Atom, Call, ClassLit, ClassOf, ClassStar, ClassT, ConstantPool, Effect,
-    FalseLit, If, IntLit, Let, NilLit, Not, Or, PURE, RecordLit, Region, Seq,
-    Star, StrLit, STR_T, TRUE_COND, TrueLit, Var, atom_key, canon_effect,
-    eff_subsumes, eff_union, subtype, union_of, walk,
+    Call, ClassLit, ClassOf, ClassStar, ClassT, ConstantPool, Effect, FalseLit,
+    If, IntLit, Let, NilLit, PURE, RecordLit, Region, Seq, Star, StrLit, STR_T,
+    TRUE, TrueLit, Var, atom_key, canon_effect, eff_subsumes, eff_union, subtype,
+    union_of, walk,
 )
 from effsynth.driver import synthesize
 from effsynth.goalfile import load_goal_file, print_program
 from effsynth.interp import AssertErr, Ok, RuntimeErr, SetupStmt, Spec, run_spec
-from effsynth.merge import MergeSession, MergeTerm, MergeTuple, rewrite_merge
+from effsynth.merge import MergeSession, MergeTerm, MergeTuple, negate, rewrite_merge
 from effsynth.runtime import relation_class
 from effsynth.sat import implies_valid
 from effsynth.search import SearchConfig
@@ -233,7 +233,7 @@ def _scenarios():
         ("nil is falsy", [], (), NilLit(), [NilLit()], 0, AssertErr, PURE, PURE),
         ("objects are truthy", [p], (), NilLit(), [Var("p")], 1, Ok, PURE, PURE),
         ("if-guard reads accumulate on failure", [p], (), NilLit(),
-         [If(Atom(eq(call(Var("p"), "title"), StrLit("z"))), TrueLit(), FalseLit())],
+         [If(eq(call(Var("p"), "title"), StrLit("z")), TrueLit(), FalseLit())],
          0, AssertErr, _post_title("title"), PURE),
         ("seq charges its head", [p], (), NilLit(),
          [Seq(call(Var("p"), "title"), FalseLit())], 0, AssertErr,
@@ -321,21 +321,21 @@ def test_criterion_6_lattice_properties():
 
 def test_criterion_6_implies_truth_table_oracle():
     rng = random.Random(99)
-    atoms = [Atom(Var(n)) for n in "abcd"]
+    atoms = [Var(n) for n in "abcd"]
 
     def random_cond(depth):
         if depth == 0 or rng.random() < 0.45:
             return rng.choice(atoms)
         if rng.random() < 0.5:
-            return Not(random_cond(depth - 1))
-        return Or(random_cond(depth - 1), random_cond(depth - 1))
+            return negate(random_cond(depth - 1))
+        return If(random_cond(depth - 1), TRUE, random_cond(depth - 1))
 
     def truth(c, env):
-        if isinstance(c, Atom):
-            return env[c.expr.name]
-        if isinstance(c, Not):
-            return not truth(c.inner, env)
-        return truth(c.left, env) or truth(c.right, env)
+        if isinstance(c, Var):
+            return env[c.name]
+        if isinstance(c, If):
+            return truth(c.then if truth(c.cond, env) else c.orelse, env)
+        return isinstance(c, TrueLit)
 
     for _ in range(1000):
         b1, b2 = random_cond(3), random_cond(3)
@@ -363,7 +363,7 @@ def test_criterion_7_rewrite_rules(blog):
         goal_params=(STR_T,), ct=ct, sigma=sigma, world=world,
         cfg=SearchConfig(max_size=6, candidate_budget=2000), specs=specs,
     )
-    b, c = Atom(Var("b")), Atom(Var("c"))
+    b, c = Var("b"), Var("c")
 
     def check(tuples, expect_len, label):
         term = MergeTerm(tuple(tuples))
@@ -377,40 +377,38 @@ def test_criterion_7_rewrite_rules(blog):
            MergeTuple(Var("arg0"), b, frozenset({1}))], 1, "rule1")
     # (2) equal expressions under an implied condition keep the stronger one
     out = check([MergeTuple(Var("arg0"), b, frozenset({0})),
-                 MergeTuple(Var("arg0"), Or(b, c), frozenset({1}))], 1, "rule2")
+                 MergeTuple(Var("arg0"), If(b, TRUE, c), frozenset({1}))], 1, "rule2")
     assert out.tuples[0].cond == b
     # (3) equal expressions under incomparable conditions disjoin them
     out = check([MergeTuple(Var("arg0"), b, frozenset({0})),
                  MergeTuple(Var("arg0"), c, frozenset({1}))], 1, "rule3")
-    assert out.tuples[0].cond == Or(b, c)
+    assert out.tuples[0].cond == If(b, TRUE, c)
     # (4) differing expressions under equal conditions trigger resynthesis
-    out = check([MergeTuple(StrLit("present"), TRUE_COND, frozenset({0})),
-                 MergeTuple(StrLit("absent"), TRUE_COND, frozenset({1}))], 2, "rule4")
-    assert out.tuples[0].cond != TRUE_COND
+    out = check([MergeTuple(StrLit("present"), TRUE, frozenset({0})),
+                 MergeTuple(StrLit("absent"), TRUE, frozenset({1}))], 2, "rule4")
+    assert out.tuples[0].cond != TRUE
     exists_calls = [n for n in walk(out.tuples[0].cond)
                     if isinstance(n, Call) and n.method == "exists?"]
     assert exists_calls, "rule4 resynthesized condition queries the store"
     # (5) a true/false pair under negated conditions folds to the condition
     out = check([MergeTuple(TrueLit(), b, frozenset({0})),
-                 MergeTuple(FalseLit(), Not(b), frozenset({1}))], 1, "rule5")
+                 MergeTuple(FalseLit(), negate(b), frozenset({1}))], 1, "rule5")
     assert out.tuples[0].expr == Var("b")
-    assert out.tuples[0].cond == Or(b, Not(b))
+    assert out.tuples[0].cond == If(b, TRUE, negate(b))
     # (6) the mirrored boolean pair folds the same way
-    out = check([MergeTuple(FalseLit(), Not(b), frozenset({0})),
+    out = check([MergeTuple(FalseLit(), negate(b), frozenset({0})),
                  MergeTuple(TrueLit(), b, frozenset({1}))], 1, "rule6")
     assert out.tuples[0].expr == Var("b")
     # (7) a verified negation replaces the second condition
-    exists_cond = Atom(call(ClassLit("Post"), "exists?",
-                            RecordLit((("slug", StrLit("present")),))))
+    exists_cond = call(ClassLit("Post"), "exists?", RecordLit((("slug", StrLit("present")),)))
     out = check([MergeTuple(StrLit("present"), exists_cond, frozenset({0})),
                  MergeTuple(StrLit("absent"), c, frozenset({1}))], 2, "rule7")
-    assert out.tuples[1].cond == Not(exists_cond)
+    assert out.tuples[1].cond == negate(exists_cond)
     # (8) the mirrored guess replaces the first condition
-    missing_cond = Atom(call(ClassLit("Post"), "exists?",
-                             RecordLit((("slug", StrLit("nowhere")),))))
+    missing_cond = call(ClassLit("Post"), "exists?", RecordLit((("slug", StrLit("nowhere")),)))
     out = check([MergeTuple(StrLit("present"), c, frozenset({0})),
                  MergeTuple(StrLit("absent"), missing_cond, frozenset({1}))], 2, "rule8")
-    assert out.tuples[0].cond == Not(missing_cond)
+    assert out.tuples[0].cond == negate(missing_cond)
     _passline(7, "rules (1)-(8) fire on their fixtures and preserve spec sets")
 
 

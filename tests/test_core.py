@@ -10,8 +10,9 @@ from effsynth.core import (
     OBJ_T, PURE, RecordLit, Region, SELF_STAR, STR_T, SelfRegion, Seq, Star,
     StrLit, SymLit, TypedHole, UnionT, Var, alpha_key, canon_effect, eff_subsumes, eff_union,
     expr_size, is_complete, leftmost_hole, record_of, resolve_self, subtype,
-    union_of, walk, If, Atom, Not, INT_T,
+    union_of, walk, If, INT_T,
 )
+from effsynth.merge import negate
 from conftest import random_hierarchy
 
 
@@ -278,7 +279,7 @@ def _exprs(depth=3):
         st.builds(Seq, sub, sub),
         st.builds(lambda r, a: Call(r, "m", (a,)), sub, sub),
         st.builds(lambda r, a, b: Call(r, "m2", (a, b)), sub, sub, sub),
-        st.builds(lambda c, t, e: If(Not(Atom(c)), t, e), sub, sub, sub),
+        st.builds(lambda c, t, e: If(negate(c), t, e), sub, sub, sub),
         st.builds(lambda b, body: Let("v", b, body), sub, sub),
         st.builds(lambda p: RecordLit((("k", p),)), sub),
         st.builds(lambda p, q: RecordLit((("j", p), ("k", q))), sub, sub),

@@ -186,11 +186,11 @@ class TestCountPaths:
         assert count_paths(Var("x")) == 1
 
     def test_if_chain(self):
-        from effsynth.core import Atom, If, NIL, TrueLit, Var
+        from effsynth.core import If, NIL, TrueLit, Var
 
-        two = If(Atom(TrueLit()), Var("a"), Var("b"))
+        two = If(TrueLit(), Var("a"), Var("b"))
         assert count_paths(two) == 2
-        three = If(Atom(TrueLit()), Var("a"), If(Atom(TrueLit()), Var("b"), NIL))
+        three = If(TrueLit(), Var("a"), If(TrueLit(), Var("b"), NIL))
         assert count_paths(three) == 3
 
     def test_report_to_dict_schema(self):

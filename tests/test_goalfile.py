@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from effsynth.core import (
-    Atom, Call, ClassLit, ClassOf, ClassStar, ClassT, Effect, Not, Or, PURE,
-    RecordLit, RecordT, Region, SELF_STAR, STR_T, SelfRegion, Star, StrLit,
+    FALSE, TRUE, Call, ClassLit, ClassOf, ClassStar, ClassT, Effect, If, IntLit,
+    PURE, RecordLit, RecordT, Region, SELF_STAR, STR_T, SelfRegion, Star, StrLit,
     Var, union_of,
 )
 from effsynth.goalfile import (
@@ -119,13 +119,20 @@ class TestExprSyntax:
                          (RecordLit((("slug", StrLit("s")),)),))
 
     def test_if_with_conds(self):
-        e = self.parse("(if (not (or x y)) 1 2)")
-        assert e.cond == Not(Or(Atom(Var("x")), Atom(Var("y"))))
+        # a condition is an expression: negation and disjunction are ifs
+        e = self.parse("(if (if (if x true y) false true) 1 2)")
+        assert e == If(If(If(Var("x"), TRUE, Var("y")), FALSE, TRUE), IntLit(1), IntLit(2))
+        assert print_expr(e) == "(if (if (if x true y) false true) 1 2)"
+
+    @pytest.mark.parametrize("text", ["(if (not x) 1 2)", "(if (or x y) 1 2)"])
+    def test_not_and_or_are_not_forms(self, text):
+        with pytest.raises(ParseError, match="expected an expression"):
+            self.parse(text)
 
     def test_roundtrip(self):
         for text in ["nil", "true", "false", "7", '"s"', "(sym k)", "Post",
                      "x", "(seq 1 2)", "(let v 1 v)",
-                     "(if (not x) 1 2)", '(call x == "a")',
+                     "(if (if x false true) 1 (if a true b))", '(call x == "a")',
                      "(record (a 1) (b x))"]:
             e = self.parse(text)
             assert self.parse(print_expr(e)) == e

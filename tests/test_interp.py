@@ -1,7 +1,7 @@
 import pytest
 
 from effsynth.core import (
-    Atom, Call, ClassLit, Effect, FalseLit, If, IntLit, Let, NilLit, PURE_PAIR,
+    Call, ClassLit, Effect, FalseLit, If, IntLit, Let, NilLit, PURE_PAIR,
     RecordLit, Region, Seq, StrLit, TrueLit, TypedHole, Var,
 )
 from pathlib import Path
@@ -30,7 +30,7 @@ def mkspec(setup, args, post, title="t"):
 class TestEvalExpr:
     def test_if_false_branch(self, blog):
         ct, world = blog
-        e = If(Atom(FalseLit()), IntLit(1), IntLit(2))
+        e = If(FalseLit(), IntLit(1), IntLit(2))
         assert eval_expr({}, world, ct, e) == IntV(2)
 
     def test_call_on_nil_is_runtime_error(self, blog):
@@ -61,7 +61,7 @@ class TestEvalExpr:
         for lit, expect in [(IntLit(0), IntV(1)), (StrLit(""), IntV(1)),
                             (TrueLit(), IntV(1)), (FalseLit(), IntV(2)),
                             (NilLit(), IntV(2))]:
-            e = If(Atom(lit), IntLit(1), IntLit(2))
+            e = If(lit, IntLit(1), IntLit(2))
             assert eval_expr({}, world, ct, e) == expect, lit
 
 

@@ -10,19 +10,22 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import NEAR_TWINS, lookup_goal_text
 from effsynth import merge
 from effsynth.core import (
-    Atom, Call, ClassLit, ClassOf, ClassT, ConstantPool, FALSE, FalseLit, If,
-    IntLit, Let, NIL, NilLit, Not, Or, RecordLit, StrLit, STR_T, TRUE_COND,
-    TrueLit, Var, children, rebuild, walk,
+    BOOL_T, Call, ClassLit, ClassOf, ClassT, ClassTable, ConstantPool, FALSE, FalseLit, If,
+    IntLit, Let, NIL, NilLit, RecordLit, StrLit, STR_T, TRUE, TrueLit, Var,
+    alpha_key, children, rebuild, walk,
 )
 from effsynth.goalfile import build, load_goal_file, parse_goal_file
-from effsynth.interp import SetupStmt, Spec, spec_start
+from effsynth.interp import SetupStmt, Spec, eval_expr, spec_start
 from effsynth.merge import (
     ERR, ConditionBank, MergeSession, MergeTerm, MergeTuple, _at_start, _battery,
-    _cond_holds, canon_cond, canon_not, cond_as_expr, cond_eq, is_tautology,
-    make_merge_tuple, merge_program, rewrite_merge, search, synth_condition,
+    _cond_holds, make_merge_tuple, merge_program, negate, rewrite_merge, search,
+    synth_condition,
 )
-from effsynth.runtime import NilV, RecordV, StrV, TRUE_V, relation_class
+from effsynth.runtime import (
+    FALSE_V, NilV, RecordV, StrV, TRUE_V, World, install_core_methods, relation_class, truthy,
+)
 from effsynth.sat import implies_valid
+from effsynth.typegen import typecheck
 from effsynth.search import SearchConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,8 +42,9 @@ def eq(a, b):
     return call(a, "==", b)
 
 
-def atom(name: str):
-    return Atom(Var(name))
+def either(a, b):
+    """The disjunction of two conditions, as merging builds it."""
+    return If(a, TRUE, b)
 
 
 # ---------------------------------------------------------------------------
@@ -49,97 +53,103 @@ def atom(name: str):
 
 class TestCondUtils:
     def test_double_negation_cancels(self):
-        c = atom("a")
-        assert canon_cond(Not(Not(c))) == c
-        assert cond_eq(c, Not(Not(c)))
+        c = Var("a")
+        assert negate(c) == If(c, FALSE, TRUE)
+        assert negate(negate(c)) == c
+        assert alpha_key(negate(negate(c))) == alpha_key(c)
 
-    def test_canon_not(self):
-        c = atom("a")
-        assert canon_not(Not(c)) == c
+    def test_negating_a_negation_strips_it(self):
+        c = Var("a")
+        assert negate(If(c, FALSE, TRUE)) == c
 
     def test_tautology_shapes(self):
-        c = atom("a")
-        assert is_tautology(TRUE_COND)
-        assert is_tautology(Or(c, Not(c)))
-        assert is_tautology(Or(Not(c), c))
-        assert not is_tautology(Or(c, atom("b")))
+        c = Var("a")
+        assert implies_valid(TRUE, TRUE)
+        assert implies_valid(TRUE, either(c, negate(c)))
+        assert implies_valid(TRUE, either(negate(c), c))
+        assert not implies_valid(TRUE, either(c, Var("b")))
 
-    def test_cond_as_expr(self):
-        c = Atom(eq(Var("x"), TrueLit()))
-        assert cond_as_expr(c) == c.expr
-        assert cond_as_expr(Not(c)) == call(c.expr, "!")
-        both = cond_as_expr(Or(c, Not(c)))
-        assert isinstance(both, If) and both.then == TrueLit()
+    def test_conditions_are_bool_expressions(self, blog):
+        ct, world = blog
+        c = eq(Var("x"), TrueLit())
+        for x in (TRUE_V, FALSE_V):
+            got = eval_expr({"x": x}, world, ct, c)
+            assert eval_expr({"x": x}, world, ct, negate(c)) == (FALSE_V if truthy(got)
+                                                                 else TRUE_V)
+            assert eval_expr({"x": x}, world, ct, either(c, negate(c))) == TRUE_V
+        for cond in (negate(c), either(c, negate(c))):
+            assert typecheck({"x": BOOL_T}, ct, cond) == BOOL_T
 
 
 class TestImplies:
     def test_reflexive(self):
-        b = atom("b")
+        b = Var("b")
         assert implies_valid(b, b)
 
     def test_weakening_into_disjunction(self):
-        b, c = atom("b"), atom("c")
-        assert implies_valid(b, Or(b, c))
-        assert not implies_valid(Or(b, c), b)
+        b, c = Var("b"), Var("c")
+        assert implies_valid(b, either(b, c))
+        assert not implies_valid(either(b, c), b)
 
     def test_distinct_atoms_unrelated(self):
         # true is a constant, and it implies no condition that can be false
-        assert not implies_valid(TRUE_COND, atom("b"))
+        assert not implies_valid(TRUE, Var("b"))
 
     def test_literal_atoms_are_constants(self):
-        a = atom("a")
-        assert implies_valid(Not(a), TRUE_COND)
-        assert implies_valid(a, TRUE_COND)
-        assert implies_valid(Atom(FALSE), a)
-        assert not implies_valid(TRUE_COND, Atom(FALSE))
-        assert implies_valid(TRUE_COND, Or(a, Not(a)))
+        a = Var("a")
+        assert implies_valid(negate(a), TRUE)
+        assert implies_valid(a, TRUE)
+        assert implies_valid(FALSE, a)
+        assert not implies_valid(TRUE, FALSE)
+        assert implies_valid(TRUE, either(a, negate(a)))
 
     def test_negation(self):
-        b = atom("b")
-        assert implies_valid(b, Not(Not(b)))
-        assert not implies_valid(b, Not(b))
+        b = Var("b")
+        # built by hand: negate would strip the inner negation
+        assert implies_valid(b, If(If(b, FALSE, TRUE), FALSE, TRUE))
+        assert not implies_valid(b, negate(b))
 
     def test_simple_validities(self):
-        a, b = atom("a"), atom("b")
+        a, b = Var("a"), Var("b")
         assert implies_valid(a, a)
-        assert implies_valid(a, Or(a, b))
+        assert implies_valid(a, either(a, b))
         assert not implies_valid(a, b)
-        assert not implies_valid(Or(a, b), a)
+        assert not implies_valid(either(a, b), a)
         # a and b, written as not (not a or not b)
-        assert implies_valid(Not(Or(Not(a), Not(b))), a)
+        assert implies_valid(negate(either(negate(a), negate(b))), a)
 
     def test_atoms_equal_up_to_let_names_are_one_variable(self):
         x = eq(Var("x"), IntLit(1))
-        c1 = Atom(Let("a", x, Var("a")))
-        c2 = Atom(Let("b", x, Var("b")))
+        c1 = Let("a", x, Var("a"))
+        c2 = Let("b", x, Var("b"))
         assert implies_valid(c1, c2)
-        assert not implies_valid(c1, Not(c2))
-        assert not implies_valid(c1, Atom(Let("a", x, x)))
+        assert not implies_valid(c1, negate(c2))
+        assert not implies_valid(c1, Let("a", x, x))
 
     def test_atom_identity_is_syntactic(self):
-        c1 = Atom(eq(Var("x"), IntLit(1)))
-        c2 = Atom(eq(Var("x"), IntLit(1)))
+        c1 = eq(Var("x"), IntLit(1))
+        c2 = eq(Var("x"), IntLit(1))
         assert implies_valid(c1, c2)
-        c3 = Atom(eq(Var("x"), IntLit(2)))
+        c3 = eq(Var("x"), IntLit(2))
         assert not implies_valid(c1, c3)
 
     def test_matches_truth_table_oracle(self):
         rng = random.Random(9)
-        atoms = [atom(n) for n in "abcd"]
+        atoms = [Var(n) for n in "abcd"]
 
         def random_cond(depth):
             if depth == 0 or rng.random() < 0.4:
                 return rng.choice(atoms)
             if rng.random() < 0.5:
-                return Not(random_cond(depth - 1))
-            return Or(random_cond(depth - 1), random_cond(depth - 1))
+                return negate(random_cond(depth - 1))
+            return either(random_cond(depth - 1), random_cond(depth - 1))
 
         def truth(c, assignment):
-            if isinstance(c, Atom):
-                return assignment[c.expr.name]
-            if isinstance(c, Not):
-                return not truth(c.inner, assignment)
-            return truth(c.left, assignment) or truth(c.right, assignment)
+            if isinstance(c, Var):
+                return assignment[c.name]
+            if isinstance(c, If):
+                return truth(c.then if truth(c.cond, assignment) else c.orelse, assignment)
+            return isinstance(c, TrueLit)
 
         for _ in range(300):
             b1, b2 = random_cond(3), random_cond(3)
@@ -148,6 +158,35 @@ class TestImplies:
                 for bits in itertools.product((False, True), repeat=4)
             )
             assert implies_valid(b1, b2) == expected
+
+
+_BOOL_VARS = ("a", "b", "c")
+_BOOL_CONDS = st.recursive(
+    st.sampled_from([TRUE, FALSE, *map(Var, _BOOL_VARS)]),
+    lambda sub: st.one_of(sub.map(negate), st.tuples(sub, sub).map(lambda lr: either(*lr))),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(premise=_BOOL_CONDS, conclusion=_BOOL_CONDS)
+def test_implies_valid_agrees_with_the_evaluator(premise, conclusion):
+    """On conditions over Bool variables, built as merging builds them,
+    implies_valid is validity under the evaluator: every assignment of the
+    variables under which the premise evaluates truthy makes the conclusion
+    truthy too. Negating twice gives the condition back."""
+    ct = ClassTable()
+    install_core_methods(ct)
+    world = World({})
+
+    def holds(c, bits):
+        env = {n: TRUE_V if bit else FALSE_V for n, bit in zip(_BOOL_VARS, bits)}
+        return truthy(eval_expr(env, world, ct, c))
+
+    valid = all(not holds(premise, bits) or holds(conclusion, bits)
+                for bits in itertools.product((False, True), repeat=len(_BOOL_VARS)))
+    assert implies_valid(premise, conclusion) == valid
+    for c in (premise, conclusion):
+        assert alpha_key(negate(negate(c))) == alpha_key(c)
 
 
 # ---------------------------------------------------------------------------
@@ -200,38 +239,37 @@ class TestRewriteRules:
         return MergeTuple(expr, cond, frozenset(ids))
 
     def test_rule1_identical_tuples_fold(self, session):
-        t = self.tuple_(Var("arg0"), atom("b"), {0})
-        u = self.tuple_(Var("arg0"), atom("b"), {1})
+        t = self.tuple_(Var("arg0"), Var("b"), {0})
+        u = self.tuple_(Var("arg0"), Var("b"), {1})
         out = rewrite_merge(MergeTerm((t, u)), session)
-        assert out.tuples == (self.tuple_(Var("arg0"), atom("b"), {0, 1}),)
+        assert out.tuples == (self.tuple_(Var("arg0"), Var("b"), {0, 1}),)
 
     def test_rule2_implication_keeps_stronger_cond(self, session):
-        b = atom("b")
+        b = Var("b")
         t = self.tuple_(Var("arg0"), b, {0})
-        u = self.tuple_(Var("arg0"), Or(b, atom("c")), {1})
+        u = self.tuple_(Var("arg0"), either(b, Var("c")), {1})
         out = rewrite_merge(MergeTerm((t, u)), session)
         assert out.tuples == (self.tuple_(Var("arg0"), b, {0, 1}),)
         assert specs_of(out) == frozenset({0, 1})
 
     def test_rule3_disjunction_when_no_implication(self, session):
-        t = self.tuple_(Var("arg0"), atom("b"), {0})
-        u = self.tuple_(Var("arg0"), atom("c"), {1})
+        t = self.tuple_(Var("arg0"), Var("b"), {0})
+        u = self.tuple_(Var("arg0"), Var("c"), {1})
         out = rewrite_merge(MergeTerm((t, u)), session)
         assert out.tuples == (
-            self.tuple_(Var("arg0"), Or(atom("b"), atom("c")), {0, 1}),)
+            self.tuple_(Var("arg0"), either(Var("b"), Var("c")), {0, 1}),)
 
     def test_rule4_resynthesizes_separating_conditions(self, session):
         # same TrueLit condition, different expressions: the rewriter must
         # find a condition true for spec 0 and false for spec 1
-        t = MergeTuple(StrLit("present"), TRUE_COND, frozenset({0}))
-        u = MergeTuple(StrLit("absent"), TRUE_COND, frozenset({1}))
+        t = MergeTuple(StrLit("present"), TRUE, frozenset({0}))
+        u = MergeTuple(StrLit("absent"), TRUE, frozenset({1}))
         out = rewrite_merge(MergeTerm((t, u)), session)
         b1 = out.tuples[0].cond
-        assert b1 != TRUE_COND
+        assert b1 != TRUE
         assert specs_of(out) == frozenset({0, 1})
         # the found condition is the exists? query on the seeded slug
-        assert "exists?" in [n.method for n in walk(cond_as_expr(b1))
-                             if isinstance(n, Call)]
+        assert "exists?" in [n.method for n in walk(b1) if isinstance(n, Call)]
 
     def test_rule4_falls_back_when_unseparable(self, session):
         # same setups in both specs make separation impossible
@@ -241,25 +279,25 @@ class TestRewriteRules:
             cfg=SearchConfig(max_size=2, candidate_budget=60),
             specs=(session.specs[1], session.specs[1]),
         )
-        t = MergeTuple(StrLit("x"), TRUE_COND, frozenset({0}))
-        u = MergeTuple(StrLit("y"), TRUE_COND, frozenset({1}))
+        t = MergeTuple(StrLit("x"), TRUE, frozenset({0}))
+        u = MergeTuple(StrLit("y"), TRUE, frozenset({1}))
         out = rewrite_merge(MergeTerm((t, u)), session)
         assert out.tuples == (t, u)
 
     def test_rule5_boolean_collapse(self, session):
-        b = atom("b")
+        b = Var("b")
         t = self.tuple_(TrueLit(), b, {0})
-        u = self.tuple_(FalseLit(), Not(b), {1})
+        u = self.tuple_(FalseLit(), negate(b), {1})
         out = rewrite_merge(MergeTerm((t, u)), session)
         assert len(out.tuples) == 1
         merged = out.tuples[0]
         assert merged.expr == Var("b")
-        assert merged.cond == Or(b, Not(b))
+        assert merged.cond == either(b, negate(b))
         assert merged.specs == frozenset({0, 1})
 
     def test_rule6_boolean_collapse_mirrored(self, session):
-        b = atom("b")
-        t = self.tuple_(FalseLit(), Not(b), {0})
+        b = Var("b")
+        t = self.tuple_(FalseLit(), negate(b), {0})
         u = self.tuple_(TrueLit(), b, {1})
         out = rewrite_merge(MergeTerm((t, u)), session)
         assert len(out.tuples) == 1
@@ -268,27 +306,25 @@ class TestRewriteRules:
 
     def test_rule7_guesses_negated_condition(self, session):
         # spec 1 has no matching row, so the negated exists? holds under it
-        exists = Atom(call(ClassLit("Post"), "exists?",
-                           RecordLit((("slug", StrLit("present")),))))
+        exists = call(ClassLit("Post"), "exists?", RecordLit((("slug", StrLit("present")),)))
         t = self.tuple_(StrLit("present"), exists, {0})
-        u = self.tuple_(StrLit("absent"), atom("q"), {1})
+        u = self.tuple_(StrLit("absent"), Var("q"), {1})
         out = rewrite_merge(MergeTerm((t, u)), session)
         assert out.tuples[0] == t
-        assert out.tuples[1].cond == canon_not(exists)
+        assert out.tuples[1].cond == negate(exists)
 
     def test_rule8_guesses_negated_condition_mirrored(self, session):
-        missing = Atom(call(ClassLit("Post"), "exists?",
-                            RecordLit((("slug", StrLit("nowhere")),))))
-        t = self.tuple_(StrLit("present"), atom("q"), {0})
+        missing = call(ClassLit("Post"), "exists?", RecordLit((("slug", StrLit("nowhere")),)))
+        t = self.tuple_(StrLit("present"), Var("q"), {0})
         u = self.tuple_(StrLit("absent"), missing, {1})
         out = rewrite_merge(MergeTerm((t, u)), session)
         # the guess !missing holds under spec 0's setup, replacing q
-        assert out.tuples[0].cond == canon_not(missing)
+        assert out.tuples[0].cond == negate(missing)
         assert out.tuples[1] == u
 
     def test_rewrites_preserve_spec_sets(self, session):
         rng = random.Random(17)
-        conds = [atom("b"), atom("c"), Not(atom("b")), TRUE_COND]
+        conds = [Var("b"), Var("c"), negate(Var("b")), TRUE]
         exprs = [Var("arg0"), TrueLit(), FalseLit(), StrLit("present")]
         for _ in range(25):
             tuples = tuple(
@@ -302,12 +338,12 @@ class TestRewriteRules:
         # guessing (not k0) for the middle branch holds at its own spec but
         # would also route spec 2 into it; only the last pair may guess
         s = lookup_session(3)
-        k0, k1, k2 = (Atom(eq(StrLit(f"k{i}"), Var("arg0"))) for i in range(3))
+        k0, k1, k2 = (eq(StrLit(f"k{i}"), Var("arg0")) for i in range(3))
         chain = (MergeTuple(IntLit(0), k0, frozenset({0})),
                  MergeTuple(IntLit(1), k1, frozenset({1})),
                  MergeTuple(IntLit(2), k2, frozenset({2})))
         out = rewrite_merge(MergeTerm(chain), s)
-        assert out.tuples == chain[:2] + (MergeTuple(IntLit(2), Not(k1), frozenset({2})),)
+        assert out.tuples == chain[:2] + (MergeTuple(IntLit(2), negate(k1), frozenset({2})),)
         assert out.prog() == If(k0, IntLit(0), If(k1, IntLit(1), IntLit(2)))
 
     def test_resynthesis_keeps_later_specs_out(self):
@@ -315,19 +351,19 @@ class TestRewriteRules:
         # new conditions must stay false at specs 2 and 3, which the pair
         # never saw
         s = lookup_session(4)
-        k0, k1, k2 = (Atom(eq(StrLit(f"k{i}"), Var("arg0"))) for i in range(3))
+        k0, k1, k2 = (eq(StrLit(f"k{i}"), Var("arg0")) for i in range(3))
         chain = (MergeTuple(IntLit(0), k0, frozenset({0})),
-                 MergeTuple(IntLit(1), Or(k0, k1), frozenset({1})),
+                 MergeTuple(IntLit(1), either(k0, k1), frozenset({1})),
                  MergeTuple(IntLit(2), k2, frozenset({2})),
-                 MergeTuple(IntLit(3), TRUE_COND, frozenset({3})))
+                 MergeTuple(IntLit(3), TRUE, frozenset({3})))
         body = rewrite_merge(MergeTerm(chain), s).prog()
         assert all(s.run_body(body, spec).ok for spec in s.specs)
 
     def test_rewrite_terminates_and_is_deterministic(self, session):
-        b = atom("b")
+        b = Var("b")
         tuples = (
             self.tuple_(Var("arg0"), b, {0}),
-            self.tuple_(Var("arg0"), Not(b), {1}),
+            self.tuple_(Var("arg0"), negate(b), {1}),
             self.tuple_(TrueLit(), b, {0}),
         )
         a = rewrite_merge(MergeTerm(tuples), session)
@@ -337,10 +373,10 @@ class TestRewriteRules:
 
 _CONDS = st.recursive(
     st.sampled_from([
-        TRUE_COND, atom("q"), Atom(eq(Var("arg0"), StrLit("present"))),
-        Atom(call(ClassLit("Post"), "exists?", RecordLit((("slug", StrLit("present")),)))),
+        TRUE, Var("q"), eq(Var("arg0"), StrLit("present")),
+        call(ClassLit("Post"), "exists?", RecordLit((("slug", StrLit("present")),))),
     ]),
-    lambda sub: st.one_of(sub.map(Not), st.tuples(sub, sub).map(lambda lr: Or(*lr))),
+    lambda sub: st.one_of(sub.map(negate), st.tuples(sub, sub).map(lambda lr: either(*lr))),
     max_leaves=3)
 
 _TUPLES = st.lists(st.builds(
@@ -369,47 +405,46 @@ def test_rewrite_merge_terminates_on_random_chains(session, tuples):
 
 class TestProg:
     def test_single_true_tuple_collapses(self):
-        term = MergeTerm((MergeTuple(Var("x"), TRUE_COND, frozenset({0})),))
+        term = MergeTerm((MergeTuple(Var("x"), TRUE, frozenset({0})),))
         assert term.prog() == Var("x")
 
     def test_tautology_guard_collapses(self):
-        b = atom("b")
-        term = MergeTerm((MergeTuple(Var("x"), Or(b, Not(b)), frozenset({0})),))
+        b = Var("b")
+        term = MergeTerm((MergeTuple(Var("x"), either(b, negate(b)), frozenset({0})),))
         assert term.prog() == Var("x")
 
     def test_negation_chain_folds_to_if_else(self):
-        b = atom("b")
+        b = Var("b")
         term = MergeTerm((
             MergeTuple(Var("x"), b, frozenset({0})),
-            MergeTuple(Var("y"), Not(b), frozenset({1})),
+            MergeTuple(Var("y"), negate(b), frozenset({1})),
         ))
         assert term.prog() == If(b, Var("x"), Var("y"))
 
     def test_unrelated_conditions_keep_else_if_shape(self):
         term = MergeTerm((
-            MergeTuple(Var("x"), atom("b"), frozenset({0})),
-            MergeTuple(Var("y"), atom("c"), frozenset({1})),
+            MergeTuple(Var("x"), Var("b"), frozenset({0})),
+            MergeTuple(Var("y"), Var("c"), frozenset({1})),
         ))
-        assert term.prog() == If(atom("b"), Var("x"), If(atom("c"), Var("y"), NIL))
+        assert term.prog() == If(Var("b"), Var("x"), If(Var("c"), Var("y"), NIL))
 
 
 class TestSynthCondition:
     def test_empty_false_side_returns_true(self, session):
         cond = synth_condition(session, frozenset({0}), frozenset())
-        assert cond == TRUE_COND
+        assert cond == TRUE
         assert session.stats.evaluated == 0
 
     def test_separating_condition_found(self, session):
         cond = synth_condition(session, frozenset({0}), frozenset({1}))
-        assert cond is not None and cond != TRUE_COND
+        assert cond is not None and cond != TRUE
 
     def test_backward_condition_is_a_bank_term(self, session):
         # the bank is the only source of conditions: the backward condition
         # is not the forward one negated but a kept Bool term of its own
         forward = synth_condition(session, frozenset({0}), frozenset({1}))
         backward = synth_condition(session, frozenset({1}), frozenset({0}))
-        assert isinstance(backward, Atom)
-        assert any(backward.expr == expr for expr, _ in session.bank.conds)
+        assert any(backward is expr for expr, _ in session.bank.conds)
         assert backward != forward
         assert _cond_holds(session, backward, session.specs[1], True)
         assert _cond_holds(session, backward, session.specs[0], False)
@@ -427,10 +462,10 @@ class TestSynthCondition:
 
     def test_found_condition_is_a_bank_term(self, session):
         cond = synth_condition(session, frozenset({0}), frozenset({1}))
-        assert any(cond.expr == expr for expr, _ in session.bank.conds)
+        assert any(cond is expr for expr, _ in session.bank.conds)
         # asked again, the bank answers from its kept terms without growing
         evaluated = session.stats.evaluated
-        assert search(session, frozenset({0}), frozenset({1})) == cond.expr
+        assert search(session, frozenset({0}), frozenset({1})) is cond
         assert session.stats.evaluated == evaluated
 
 
@@ -503,8 +538,8 @@ class TestConditionBank:
         assert kept[0].results != kept[1].results
         assert kept[2] is kept[0]
         assert kept[3] is kept[1]
-        assert _battery(s, Atom(eq(every, Var("arg1"))), s.specs) == (True,)
-        assert _battery(s, Atom(eq(by_slug, Var("arg1"))), s.specs) == (False,)
+        assert _battery(s, eq(every, Var("arg1")), s.specs) == (TRUE_V,)
+        assert _battery(s, eq(by_slug, Var("arg1")), s.specs) == (FALSE_V,)
 
 
 def substitute(e, old, new):
@@ -674,23 +709,23 @@ def test_an_operand_error_at_one_start_errs_there_only():
 
 class TestMergeProgram:
     def test_single_tuple_returns_bare_expression(self, session):
-        t = make_merge_tuple(session, Var("arg0"), TRUE_COND, frozenset({0, 1}))
+        t = make_merge_tuple(session, Var("arg0"), TRUE, frozenset({0, 1}))
         body = merge_program([t], session)
         assert body == Var("arg0")
 
     def test_identical_expressions_fold_to_straight_line(self, session):
         # oracle: any valid merge of three same-expression tuples has no ifs
         tuples = [
-            MergeTuple(Var("arg0"), TRUE_COND, frozenset({0})),
-            MergeTuple(Var("arg0"), TRUE_COND, frozenset({1})),
+            MergeTuple(Var("arg0"), TRUE, frozenset({0})),
+            MergeTuple(Var("arg0"), TRUE, frozenset({1})),
         ]
         body = merge_program(tuples, session)
         assert body == Var("arg0")
         assert not any(isinstance(n, If) for n in walk(body))
 
     def test_merged_program_passes_all_specs(self, session):
-        t = MergeTuple(StrLit("present"), TRUE_COND, frozenset({0}))
-        u = MergeTuple(StrLit("absent"), TRUE_COND, frozenset({1}))
+        t = MergeTuple(StrLit("present"), TRUE, frozenset({0}))
+        u = MergeTuple(StrLit("absent"), TRUE, frozenset({1}))
         body = merge_program([t, u], session)
         assert body is not None
         for spec in session.specs:
@@ -698,21 +733,21 @@ class TestMergeProgram:
 
     def test_merging_runs_no_spec(self, session):
         # the driver's final gate is the one check of the merged program
-        bad = MergeTuple(Call(NilLit(), "boom", ()), TRUE_COND, frozenset({0, 1}))
+        bad = MergeTuple(Call(NilLit(), "boom", ()), TRUE, frozenset({0, 1}))
         assert merge_program([bad], session) == bad.expr
         assert session.stats.evaluated == 0
         assert session.orderings_tried == 1
 
     def test_unseparable_branches_return_none(self, blog):
         s = twin_session(blog, SearchConfig(candidate_budget=60), near=True)
-        tuples = [MergeTuple(StrLit("x"), TRUE_COND, frozenset({0})),
-                  MergeTuple(StrLit("y"), TRUE_COND, frozenset({1}))]
+        tuples = [MergeTuple(StrLit("x"), TRUE, frozenset({0})),
+                  MergeTuple(StrLit("y"), TRUE, frozenset({1}))]
         assert merge_program(tuples, s) is None
         assert s.orderings_tried == 0
 
     def test_tuple_constructor_validates(self, session):
         with pytest.raises(ValueError):
-            make_merge_tuple(session, Call(NilLit(), "boom", ()), TRUE_COND,
+            make_merge_tuple(session, Call(NilLit(), "boom", ()), TRUE,
                              frozenset({0}))
 
 
@@ -720,9 +755,9 @@ class TestThreeWayFold:
     def test_three_identical_tuples_leave_no_branches(self, session):
         # oracle: a valid merge of three same-expression tuples is branch-free
         tuples = [
-            MergeTuple(Var("arg0"), atom("b"), frozenset({0})),
-            MergeTuple(Var("arg0"), atom("c"), frozenset({1})),
-            MergeTuple(Var("arg0"), TRUE_COND, frozenset({0, 1})),
+            MergeTuple(Var("arg0"), Var("b"), frozenset({0})),
+            MergeTuple(Var("arg0"), Var("c"), frozenset({1})),
+            MergeTuple(Var("arg0"), TRUE, frozenset({0, 1})),
         ]
         body = merge_program(tuples, session)
         assert body == Var("arg0")
@@ -735,13 +770,12 @@ class TestCondHolds:
         bad_setup = mkspec("bad-setup", [SetupStmt(boom)], [StrLit("x")], [TrueLit()])
         bad_arg = mkspec("bad-arg", [], [boom], [TrueLit()])
         for spec in (bad_setup, bad_arg):
-            assert not _cond_holds(session, TRUE_COND, spec, True)
-            assert not _cond_holds(session, Not(TRUE_COND), spec, False)
-        assert _cond_holds(session, TRUE_COND, session.specs[0], True)
+            assert not _cond_holds(session, TRUE, spec, True)
+            assert not _cond_holds(session, negate(TRUE), spec, False)
+        assert _cond_holds(session, TRUE, session.specs[0], True)
 
     def test_each_spec_sees_its_own_state(self, session):
-        exists = Atom(call(ClassLit("Post"), "exists?",
-                           RecordLit((("slug", StrLit("present")),))))
+        exists = call(ClassLit("Post"), "exists?", RecordLit((("slug", StrLit("present")),)))
         for _ in range(2):
             assert _cond_holds(session, exists, session.specs[0], True)
             assert _cond_holds(session, exists, session.specs[1], False)
@@ -751,7 +785,7 @@ class TestDeadline:
     def test_expired_session_stops_condition_search_and_rewriting(self, session):
         session.deadline = time.monotonic() - 1.0
         assert synth_condition(session, frozenset({0}), frozenset({1})) is None
-        t = MergeTuple(Var("arg0"), atom("b"), frozenset({0}))
-        u = MergeTuple(Var("arg0"), atom("b"), frozenset({1}))
+        t = MergeTuple(Var("arg0"), Var("b"), frozenset({0}))
+        u = MergeTuple(Var("arg0"), Var("b"), frozenset({1}))
         assert rewrite_merge(MergeTerm((t, u)), session).tuples == (t, u)
         assert session.stats.evaluated == 0

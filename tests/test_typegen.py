@@ -8,17 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import expand_effect, expand_typed, random_hierarchy
-from effsynth import core, interp, runtime as rt, search as search_mod, typegen
+from effsynth import core, goalfile, interp, runtime as rt, search as search_mod, typegen
 from effsynth.core import (
-    Atom, BOOL_T, Call, CallMemo, ClassLit, ClassOf, ClassT, ClassTable, ConstantPool,
-    DefinitionError, Effect, EffectHole, FalseLit, If, IntLit, INT_T, Let, NIL_T, NilLit, Not,
-    OBJ_T, Or, PURE, RecordLit, RecordT, Region, Seq, StrLit, STR_T, SymLit, SYM_T, TrueLit,
-    TypedHole, UnionT, Var, alpha_key, children, eff_subsumes, expr_size, leftmost_hole, rebuild,
-    record_of, resolve_self, subtype, type_key, union_of, walk,
+    BOOL_T, Call, CallMemo, ClassLit, ClassOf, ClassT, ClassTable, ConstantPool,
+    DefinitionError, Effect, EffectHole, FalseLit, If, IntLit, INT_T, Let, NIL_T, NilLit,
+    OBJ_T, PURE, RecordLit, RecordT, Region, Seq, StrLit, STR_T, SymLit, SYM_T, TRUE, TrueLit,
+    TypedHole, UnionT, Var, alpha_key, children, eff_subsumes, expr_size, leftmost_hole,
+    print_type, rebuild, record_of, resolve_self, subtype, type_key, union_of, walk,
 )
 from effsynth.driver import synthesize
 from effsynth.effgen import expand_effect_hole, write_specificity
 from effsynth.goalfile import load_goal_file
+from effsynth.merge import negate
 from effsynth.runtime import SchemaDecl, install_core_methods, install_schema, relation_class
 from effsynth.search import SearchConfig
 from effsynth.typegen import TypeCheckError, expand_typed_hole, node_type, typecheck
@@ -52,7 +53,7 @@ class TestTypecheck:
 
     def test_if_yields_branch_union(self, blog):
         ct, _ = blog
-        e = If(Atom(TrueLit()), Call(TypedHole(ClassOf("Post")), "create", (TypedHole(POST_REC),)), NilLit())
+        e = If(TrueLit(), Call(TypedHole(ClassOf("Post")), "create", (TypedHole(POST_REC),)), NilLit())
         assert typecheck({}, ct, e) == union_of(ClassT("Post"), NIL_T)
 
     def test_effect_hole_types_at_obj(self, blog):
@@ -344,8 +345,8 @@ PATH_CASES = [
     Call(TypedHole(OBJ_T), "title=", (IntLit(0),)),
     Call(Var("p"), "title=", (TypedHole(OBJ_T),)),
     Call(ClassLit("Post"), "create", (RecordLit((("slug", TypedHole(OBJ_T)),)),)),
-    If(Atom(TypedHole(OBJ_T)), Var("arg0"), NilLit()),
-    If(Not(Atom(Var("arg0"))), TypedHole(OBJ_T), NilLit()),
+    If(TypedHole(OBJ_T), Var("arg0"), NilLit()),
+    If(negate(Var("arg0")), TypedHole(OBJ_T), NilLit()),
     Let("y", Var("p"), Call(TypedHole(OBJ_T), "title", ())),
     Seq(EffectHole(TITLE_READ), Call(Var("p"), "title", ())),
     Let("t0", Var("p"), Seq(EffectHole(TITLE_READ), TypedHole(ClassT("Post")))),
@@ -471,13 +472,9 @@ def chain_node_type(env, ct, e, kid_tys, strict, calls):
     if isinstance(e, RecordLit):
         return record_of((k, False, t) for (k, _), t in zip(e.pairs, kid_tys))
     if isinstance(e, If):
-        return union_of(kid_tys[1], kid_tys[2])
-    if isinstance(e, Atom):
         if strict and not subtype(kid_tys[0], BOOL_T, ct):
-            raise TypeCheckError(e, f"condition has type {kid_tys[0]}, not Bool")
-        return BOOL_T
-    if isinstance(e, (Not, Or)):
-        return BOOL_T
+            raise TypeCheckError(e, f"condition has type {print_type(kid_tys[0])}, not Bool")
+        return union_of(kid_tys[1], kid_tys[2])
     raise TypeCheckError(e, f"cannot type {type(e).__name__}")
 
 
@@ -518,7 +515,7 @@ def _terms(depth=3):
     if depth == 0:
         return _leaves
     sub = _terms(depth - 1)
-    cond = st.one_of(st.builds(Atom, sub), st.builds(lambda c: Not(Atom(c)), sub))
+    cond = st.one_of(sub, sub.map(negate))
     return st.one_of(
         _leaves,
         st.builds(Seq, sub, sub),
@@ -530,7 +527,7 @@ def _terms(depth=3):
                   st.lists(st.sampled_from(["author", "slug", "title"]), unique=True,
                            max_size=2).map(sorted),
                   st.lists(sub, min_size=2, max_size=2)),
-        st.builds(Or, cond, cond),
+        st.builds(lambda a, b: If(a, TRUE, b), cond, cond),
         cond,
     )
 
@@ -586,7 +583,7 @@ class TestRuleTable:
 
 def _holds_terms(cls) -> bool:
     """Whether a constructor takes a term, from its annotations."""
-    return any(re.search(r"\b(Expr|Cond)\b", str(a))
+    return any(re.search(r"\bExpr\b", str(a))
                for a in getattr(cls.__init__, "__annotations__", {}).values())
 
 
@@ -594,28 +591,31 @@ def _missing(classes, table) -> list[str]:
     return sorted(c.__name__ for c in classes if c not in table)
 
 
-def _rule_gaps(rules, kids, evals) -> list[str]:
-    """Every class of core's Expr and Cond unions without a typing rule, a
-    composite one without children, a non-hole Expr without evaluation."""
-    exprs, conds = typing.get_args(core.Expr), typing.get_args(core.Cond)
-    composite = [c for c in exprs + conds if _holds_terms(c)]
-    return (["rule " + n for n in _missing(exprs + conds, rules)]
+def _rule_gaps(rules, kids, evals, prints) -> list[str]:
+    """Every class of core's Expr union without a typing rule, a composite
+    one without children, a non-hole one without evaluation, and any
+    without a printer."""
+    exprs = typing.get_args(core.Expr)
+    composite = [c for c in exprs if _holds_terms(c)]
+    return (["rule " + n for n in _missing(exprs, rules)]
             + ["children " + n for n in _missing(composite, kids)]
             + ["eval " + n for n in _missing([c for c in exprs
-                                              if c not in (TypedHole, EffectHole)], evals)])
+                                              if c not in (TypedHole, EffectHole)], evals)]
+            + ["print " + n for n in _missing(exprs, prints)])
 
 
 def test_every_term_class_has_its_rules():
-    assert _rule_gaps(typegen._RULES, core._CHILDREN, interp._EVAL) == []
-    composite = {c for c in typing.get_args(core.Expr) + typing.get_args(core.Cond)
-                 if _holds_terms(c)}
-    assert composite == {Seq, Call, If, Let, RecordLit, Atom, Not, Or}
+    assert _rule_gaps(typegen._RULES, core._CHILDREN, interp._EVAL, goalfile._PRINT) == []
+    composite = {c for c in typing.get_args(core.Expr) if _holds_terms(c)}
+    assert composite == {Seq, Call, If, Let, RecordLit}
 
 
 def test_rule_scan_sees_a_missing_class():
-    rules, kids, evals = dict(typegen._RULES), dict(core._CHILDREN), dict(interp._EVAL)
-    del rules[If], kids[Not], evals[SymLit]
-    assert _rule_gaps(rules, kids, evals) == ["rule If", "children Not", "eval SymLit"]
+    rules, kids, evals, prints = (dict(typegen._RULES), dict(core._CHILDREN),
+                                  dict(interp._EVAL), dict(goalfile._PRINT))
+    del rules[If], kids[Seq], evals[SymLit], prints[EffectHole]
+    assert _rule_gaps(rules, kids, evals, prints) == [
+        "rule If", "children Seq", "eval SymLit", "print EffectHole"]
 
 
 # ---------------------------------------------------------------------------
