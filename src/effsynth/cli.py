@@ -100,7 +100,8 @@ def cmd_eval(args) -> int:
         return 2
     all_ok = True
     for spec in gf.goal.specs:
-        result = run_spec(program.body, gf.goal.arity, spec, world, ct)
+        result = run_spec(program.body, gf.goal.arity, spec, world, ct,
+                          params=program.params)
         if result.ok:
             print(f"PASS  {spec.title} ({result.passed_count} asserts)")
         elif isinstance(result.outcome, AssertErr):

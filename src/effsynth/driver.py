@@ -5,7 +5,8 @@ adds the spec to that tuple. Only unexplained specs trigger a fresh search.
 The collected tuples are then merged into one decision list, and the final
 program is re-run against every spec as the one gate: stage `merge` means a
 branch had no separating condition, `final-gate` that the merged program
-fails a spec.
+fails a spec. A call runs a body on a spec once (MergeSession.run_body), so
+an unmerged program's gate evaluates nothing.
 
 A synthesis call makes one MergeSession, and with it one core.CallMemo for
 what depends only on the call's class table, constants, parameter types and
@@ -146,7 +147,8 @@ def synthesize(goal: Goal, ct: ClassTable, world: World,
                 break
         if not reused:
             expr = generate(goal.param_types, goal.ret, ct, goal.constants, spec, world,
-                            cfg, session.stats, deadline, session.start(spec), session.memo)
+                            cfg, session.stats, deadline, session.start(spec), session.memo,
+                            session.outcomes)
             found = expr is not None
             if found:
                 tuples.append(make_merge_tuple(session, expr, TRUE, frozenset({idx})))

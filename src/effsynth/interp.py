@@ -270,12 +270,14 @@ def spec_start(spec: Spec, goal_arity: int, world: World, ct: ClassTable,
 
 def run_spec(body: Expr, goal_arity: int, spec: Spec, world: World,
              ct: ClassTable, start: Optional[SpecStart] = None,
-             memo: Optional[CallMemo] = None) -> SpecResult:
+             memo: Optional[CallMemo] = None,
+             params: Optional[tuple[str, ...]] = None) -> SpecResult:
     """Restore the spec's start, call the candidate, then check assertions.
 
     `start` must come from spec_start on the same spec, arity and class
     table; without one, run_spec builds it. `memo` is the synthesis
-    call's; without one the run keeps its own.
+    call's; without one the run keeps its own. `params` names the body's
+    parameters (by default param_env's).
     Per assertion: method calls made while it evaluates accumulate their
     resolved effect pairs; a truthy value bumps the pass counter and clears
     the accumulator, a falsy value stops with the accumulated pair.
@@ -289,7 +291,8 @@ def run_spec(body: Expr, goal_arity: int, spec: Spec, world: World,
     world.restore(start.checkpoint)
     ev = Evaluator(world, ct, memo)
     try:
-        result = ev.eval(param_env(start.args), body)
+        env = dict(zip(params, start.args)) if params else param_env(start.args)
+        result = ev.eval(env, body)
     except RuntimeError_ as exc:
         return SpecResult(0, RuntimeErr(exc.kind, exc.detail))
     env = dict(start.env)

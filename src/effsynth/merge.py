@@ -36,7 +36,8 @@ from .core import (
     subtype,
 )
 from .interp import Evaluator, Spec, SpecResult, SpecStart, param_env, run_spec, spec_start
-from .runtime import RuntimeError_, World, record_v, truthy
+from .runtime import (TRUE_V, ClassV, NilV, RecordV, RuntimeError_, World, record_v,
+                      truthy)
 from .sat import implies_valid
 from .search import SearchConfig, SearchStats
 from .typegen import TypeCheckError, comparable, node_type, record_shapes, value_eq
@@ -123,6 +124,9 @@ class MergeSession:
         # id(spec) -> (spec, its start); keyed by identity because hashing a
         # Spec walks its whole setup.
         self.starts: dict = {}
+        # (id(body), id(spec)) -> (body, spec, result): run_body's record, with
+        # each spec search's solution
+        self.outcomes: dict = {}
         self.bank: Optional[ConditionBank] = None
 
     def expired(self) -> bool:
@@ -131,7 +135,7 @@ class MergeSession:
     def start(self, spec: Spec) -> SpecStart:
         """The spec's start, built on first use and kept for the session."""
         entry = self.starts.get(id(spec))
-        if entry is None or entry[0] is not spec:
+        if entry is None:
             entry = (spec, spec_start(spec, len(self.goal_params), self.world, self.ct,
                                       self.memo))
             self.starts[id(spec)] = entry
@@ -141,9 +145,15 @@ class MergeSession:
         self.stats.evaluated += 1
 
     def run_body(self, body: Expr, spec: Spec) -> SpecResult:
-        self.count_eval()
-        return run_spec(body, len(self.goal_params), spec, self.world, self.ct,
-                        self.start(spec), self.memo)
+        """body's result on spec, evaluated once per call."""
+        key = (id(body), id(spec))
+        entry = self.outcomes.get(key)
+        if entry is None:
+            self.count_eval()
+            entry = self.outcomes[key] = (body, spec, run_spec(
+                body, len(self.goal_params), spec, self.world, self.ct, self.start(spec),
+                self.memo))
+        return entry[2]
 
 
 def make_merge_tuple(session: MergeSession, expr: Expr, cond: Expr,
@@ -288,6 +298,12 @@ class ConditionBank:
     every start give equal results in any context of calls and records.
     That is also why building a term's results from its kept operands'
     gives what evaluating it whole would.
+
+    Bool-typed candidates are admitted before the rest of their level,
+    which only a bank grown past it needs. == on operands never nil (it
+    errs as a receiver), a record (== reads a field) or a class is
+    symmetric and reflexive: x == r is not evaluated once r == x was, nor
+    x == x once true wherever x does not err is kept.
     """
 
     def __init__(self, session: MergeSession) -> None:
@@ -296,12 +312,17 @@ class ConditionBank:
         self.env = param_env(session.goal_params)
         self.levels: list[list[BankTerm]] = []
         self.by_key: dict = {}  # one kept term per key
-        self.evaluated = 0  # candidates admitted, one battery each
+        self.evaluated = 0  # batteries run
         # Bool terms in bank order, each with its truth per start (None: error).
         self.conds: list[tuple[Expr, tuple]] = []
-        self.sigs = [s for s in session.ct.all_sigs() if s.eff.write.is_pure()]
+        ct = session.ct
+        self.sigs = [s for s in ct.all_sigs() if s.eff.write.is_pure()]
         records = (p for s in self.sigs for p in s.params if isinstance(p, RecordT))
         self.records = list(dict.fromkeys(records))
+        # methods each signature of which runs core.eq on one argument
+        self.eq_names = {s.name for s in self.sigs if self.types_on and value_eq(ct, s.name)
+                         and all(len(t.params) == 1 for t in ct.all_sigs() if t.name == s.name)}
+        self.eq_pairs = set()  # (id(x), id(r), type) of each x == r evaluated
         self._fitting: dict = {}
         self._pending = self.candidates()
 
@@ -319,7 +340,8 @@ class ConditionBank:
             if fits(truth):
                 return expr
         session = self.session
-        for _ in range(session.cfg.candidate_budget):
+        stop = self.evaluated + session.cfg.candidate_budget
+        while self.evaluated < stop:
             if session.expired():
                 return None
             cand = next(self._pending, None)
@@ -335,8 +357,15 @@ class ConditionBank:
               operands: tuple = ()) -> Optional[BankTerm]:
         """Evaluate a candidate of the level being built, from its operands'
         results if given; the kept term of its key (itself if the key is
-        new), or None if it errs everywhere."""
+        new), or None if it errs everywhere or _mirror or _reflexive knows
+        its key."""
         session = self.session
+        if (len(operands) == 2 and type(expr) is Call and expr.method in self.eq_names
+                and not any(type(v) in (NilV, RecordV, ClassV)
+                            for k in operands for v in k.results)):
+            if self._mirror(ty, *operands) or self._reflexive(ty, *operands):
+                return None
+            self.eq_pairs.add((id(operands[0]), id(operands[1]), ty))
         self.evaluated += 1
         results = _battery(session, expr, session.specs, operands)
         if all(r is ERR for r in results):
@@ -351,40 +380,61 @@ class ConditionBank:
             self.conds.append((expr, tuple(None if r is ERR else truthy(r) for r in results)))
         return kept
 
+    def _mirror(self, ty: TypeExpr, x: BankTerm, r: BankTerm) -> bool:
+        return (id(r), id(x), ty) in self.eq_pairs
+
+    def _reflexive(self, ty: TypeExpr, x: BankTerm, r: BankTerm) -> bool:
+        return x is r and (ty, tuple(ERR if v is ERR else TRUE_V for v in x.results),
+                           False) in self.by_key
+
+    def _deferred(self, ty: Optional[TypeExpr]) -> bool:
+        return ty is not None and not subtype(ty, BOOL_T, self.session.ct)
+
     def candidates(self):
-        """(term, static type, operands) per candidate, level by level; a
-        level is opened before its first candidate and is finished when the
-        next one opens. The operands of a call or record literal are the
-        kept terms it is built from; leaves and field reads have none."""
+        """(term, static type, operands) per candidate, level by level, the
+        _deferred last; a level is opened before its first candidate and is
+        finished, in candidate order, when the next one opens. The operands
+        of a call or record literal are the kept terms it is built from."""
         session = self.session
-        size = 0
-        while size <= session.cfg.max_size:
+        for size in range(session.cfg.max_size + 1):
             self.levels.append([])
-            if size == 0:
-                for lit, _ in session.sigma.entries:
-                    yield from self._typed(lit)
-                for name in self.env:
-                    yield from self._typed(Var(name))
-            if size == 1:
-                for name, ty in self.env.items():
-                    if isinstance(ty, RecordT):
-                        for k, _, _ in ty.fields:
-                            yield from self._typed(Call(Var(name), k, ()), kid_tys=(ty,))
-            for sig in self.sigs:
-                eq = self.types_on and len(sig.params) == 1 and value_eq(session.ct, sig.name)
-                for kids in self._operands((sig.owner, *sig.params), size - 1):
-                    if eq and not comparable(kids[0].ty, kids[1].ty, session.ct):
-                        continue
-                    yield from self._typed(
-                        Call(kids[0].expr, sig.name, tuple(k.expr for k in kids[1:])), kids)
-            made = set()  # two record types can share a literal
-            for pairs in (p for rec in self.records for p in record_shapes(rec)):
-                for kids in self._operands([ty for _, ty in pairs], size - len(pairs)):
-                    lit = RecordLit(tuple((k, kid.expr) for (k, _), kid in zip(pairs, kids)))
-                    if lit not in made:
-                        made.add(lit)
-                        yield from self._typed(lit, kids)
-            size += 1
+            later = []
+            rank = {}  # id(term) -> its place; a kept term's id stays its own
+            for n, cand in enumerate(self._level(size)):
+                rank[id(cand[0])] = n
+                if self._deferred(cand[1]):
+                    later.append(cand)
+                else:
+                    yield cand
+            yield from later
+            self.levels[-1].sort(key=lambda t: rank[id(t.expr)])
+
+    def _level(self, size: int):
+        session = self.session
+        if size == 0:
+            for lit, _ in session.sigma.entries:
+                yield from self._typed(lit)
+            for name in self.env:
+                yield from self._typed(Var(name))
+        if size == 1:
+            for name, ty in self.env.items():
+                if isinstance(ty, RecordT):
+                    for k, _, _ in ty.fields:
+                        yield from self._typed(Call(Var(name), k, ()), kid_tys=(ty,))
+        for sig in self.sigs:
+            eq = sig.name in self.eq_names
+            for kids in self._operands((sig.owner, *sig.params), size - 1):
+                if eq and not comparable(kids[0].ty, kids[1].ty, session.ct):
+                    continue
+                yield from self._typed(
+                    Call(kids[0].expr, sig.name, tuple(k.expr for k in kids[1:])), kids)
+        made = set()  # two record types can share a literal
+        for pairs in (p for rec in self.records for p in record_shapes(rec)):
+            for kids in self._operands([ty for _, ty in pairs], size - len(pairs)):
+                lit = RecordLit(tuple((k, kid.expr) for (k, _), kid in zip(pairs, kids)))
+                if lit not in made:
+                    made.add(lit)
+                    yield from self._typed(lit, kids)
 
     def _typed(self, expr: Expr, operands: tuple = (), kid_tys=None):
         """expr with its static type and operands, if its node types given

@@ -215,6 +215,7 @@ def generate(
     deadline: Optional[float],
     start: SpecStart,
     memo: CallMemo,
+    outcomes: Optional[dict] = None,
 ) -> Optional[Expr]:
     """A complete expression passing one spec, or None once the worklist,
     the budget, or the deadline runs out. Every candidate runs from
@@ -224,7 +225,8 @@ def generate(
     checked between pops, so one deadline can span every search of a
     session. memo is the synthesis call's (core.CallMemo): a search that
     pops a candidate an earlier search of the call popped gets its
-    products, their dedup keys and its wraps from there."""
+    products, their dedup keys and its wraps from there. The solution is
+    recorded in outcomes (MergeSession.outcomes) if given."""
     env: TypeEnv = param_env(goal_params)
     budget = stats.evaluated + cfg.candidate_budget
     pop_budget = stats.pops + cfg.candidate_budget
@@ -286,6 +288,8 @@ def generate(
             res = run_spec(p, len(goal_params), spec, world, ct, start, memo)
             stats.evaluated += 1
             if res.ok:
+                if outcomes is not None:
+                    outcomes[(id(p), id(spec))] = (p, spec, res)
                 return p
             # Runtime errors carry no effect hint; the candidate is dropped.
             # Let, sequence and holes add no size: a wrap is as large as p

@@ -225,6 +225,24 @@ class TestEvalAndCheck:
         assert "FAIL" in out
         assert "read Doc.title" in out
 
+    @pytest.mark.parametrize("goal,source", [
+        ("s1_lvar", "(def lvar (params x) x)"),
+        # a let binding arg0 does not capture the parameter x
+        ("s1_lvar", '(def lvar (params x) (let arg0 "other" x))'),
+        # the first argument is bound to arg1, the second to arg0
+        ("s7_fold_branches", "(def rename_doc (params arg1 arg0) (let t0 (call (call Doc where "
+                             "(record (slug arg1))) first) (seq (call t0 title= arg0) t0)))"),
+    ], ids=["own-name", "shadowing-let", "swapped-names"])
+    def test_eval_binds_the_programs_own_parameter_names(self, capsys, tmp_path, goal,
+                                                         source):
+        pfile = tmp_path / "p.prog"
+        pfile.write_text(source, encoding="utf-8")
+        for command in ("check", "eval"):
+            code, out, _ = run(capsys, command, str(GOALS / f"{goal}.goal"),
+                               "--program", str(pfile))
+            assert code == 0, (command, out)
+        assert "FAIL" not in out and "PASS" in out
+
     def test_eval_arity_mismatch_exits_two(self, capsys, tmp_path):
         pfile = tmp_path / "p.prog"
         pfile.write_text("(def lvar (params a b) a)", encoding="utf-8")

@@ -3,8 +3,8 @@
 `benchmark/spans.py` patches module attributes by name at the layer
 boundaries. A renamed or bypassed attribute would drop a layer from the
 traced benchmark run without failing anything else, so this test installs
-the tracer over the library, synthesizes one bundled goal that reaches
-merging, and checks that the hooks fired and agree with the run report.
+the tracer over the library, synthesizes goals that reach merging, and
+checks that the hooks fired and agree with the run report.
 """
 
 import importlib
@@ -13,6 +13,10 @@ from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
+from conftest import lookup_goal_text
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmark"))
 
@@ -20,7 +24,7 @@ from spans import Tracer, install, install_loading  # noqa: E402
 
 from effsynth.driver import synthesize  # noqa: E402
 from effsynth import goalfile, merge, runtime  # noqa: E402
-from effsynth.goalfile import load_goal_file  # noqa: E402
+from effsynth.goalfile import build, load_goal_file, parse_goal_file  # noqa: E402
 from effsynth.search import SearchConfig  # noqa: E402
 
 MODULES = ("driver", "search", "typegen", "effgen", "interp", "runtime", "merge", "sat")
@@ -53,6 +57,36 @@ def test_spans_cover_the_layers_and_agree_with_the_report():
     assert 0 < report.bank_terms <= report.bank_candidates
     # the traced benchmark checks rewrites against the reported orderings
     assert calls["merge.rewrite"] == report.merge_orderings_tried == 1
+
+
+@pytest.mark.parametrize("goal", ["s5_branching", "s7_fold_branches", "lookup5"])
+def test_traced_evaluations_are_the_reported_ones(goal):
+    """Evaluations the call answers without running (a remembered spec
+    outcome, as s7's final gate is, or a skipped bank term, as lookup5's
+    mirrored and self comparisons are) reach no hook and are not
+    counted."""
+    lib = SimpleNamespace(**{m: importlib.import_module(f"effsynth.{m}") for m in MODULES})
+    if goal.startswith("lookup"):
+        gf = parse_goal_file(lookup_goal_text(int(goal[len("lookup"):])))
+        ct, world = build(gf)
+    else:
+        gf, ct, world = load_goal_file(str(ROOT / "goals" / f"{goal}.goal"))
+    tracer = Tracer()
+    try:
+        install(tracer, lib)
+        program, report = synthesize(gf.goal, ct, world, SearchConfig())
+    finally:
+        tracer.restore()
+    assert program is not None
+    summary = tracer.summary()
+    calls = summary["calls"]
+    evaluations = (calls["interp.run_spec"] + calls["merge.battery"]
+                   + tracer.counts["merge.guess_evals"])
+    assert evaluations == report.candidates_evaluated
+    assert calls["merge.battery"] == report.bank_candidates
+    # every tuple's expression passed its spec in the search that found it
+    assert calls["merge.make_tuple"] == report.tuple_count > 0
+    assert summary["edges"]["merge.make_tuple", "interp.run_spec"] == 0
 
 
 def test_native_spans_and_resets_count_what_ran(monkeypatch):
